@@ -108,7 +108,7 @@ impl SimReport {
     /// ignoring only `handler_overheads` — the one field holding
     /// wall-clock measurements, which legitimately differ run to run
     /// (and, under sharded execution, in sample count: each shard
-    /// times its own refill barrier).
+    /// times its own refills).
     ///
     /// This is the single notion of report equality every conformance
     /// suite pins: serial-vs-serial replay, parallel-vs-serial
