@@ -7,7 +7,7 @@
 //! design — demands that every such path surface as a typed error the
 //! caller can handle, log, and degrade around. [`SimError`] is that
 //! type: it is returned by the `with_*` configuration builders and by
-//! `run`/`run_traced`/`run_observed`, whose in-run failure modes
+//! the `run*` methods, whose in-run failure modes
 //! (today: an overcommitted dynamic reallocation) are only detectable
 //! when the event fires.
 
@@ -105,6 +105,15 @@ pub enum SimError {
         /// The platform's bandwidth partition budget.
         bw_max: u32,
     },
+    /// A task's WCET at a scheduled reallocation's allocation rounds
+    /// to zero nanoseconds (see
+    /// [`SimBuildError::ZeroWcet`](crate::SimBuildError::ZeroWcet)).
+    ZeroWcet {
+        /// The task whose WCET rounds to zero.
+        task: TaskId,
+        /// The reallocated core it is assigned to.
+        core: usize,
+    },
     /// A fault in an attached [`FaultPlan`](crate::fault::FaultPlan)
     /// carries an out-of-range parameter (non-finite overrun factor,
     /// zero window/delay/duration, ...).
@@ -150,6 +159,9 @@ impl fmt::Display for SimError {
                 "reallocation of core {core} overcommits partitions \
                  (cache {cache_total}/{cache_max}, bw {bw_total}/{bw_max})"
             ),
+            SimError::ZeroWcet { task, core } => {
+                write!(f, "{task} has a WCET that rounds to 0 ns on core {core}")
+            }
             SimError::InvalidFault { detail } => write!(f, "invalid fault: {detail}"),
             SimError::InvalidPartition { detail } => {
                 write!(f, "invalid core partition: {detail}")
@@ -194,6 +206,13 @@ mod tests {
                     bw_max: 20,
                 },
                 "25/20",
+            ),
+            (
+                SimError::ZeroWcet {
+                    task: TaskId(4),
+                    core: 1,
+                },
+                "T4",
             ),
             (
                 SimError::InvalidFault {

@@ -672,6 +672,86 @@ fn reallocation_of_unknown_core_is_a_typed_error() {
     assert_eq!(err, SimError::UnknownCore { core: 5, cores: 1 });
 }
 
+/// Two single-task cores, core 0 at `core0` and core 1 at `Alloc(5, 5)`.
+/// Task 0 (on core 0) has a WCET of `wcet` ms at `Alloc(10, 10)` and
+/// 4 ms everywhere else.
+fn two_core_system(wcet: f64, core0: Alloc) -> (SystemAllocation, TaskSet) {
+    let surface = WcetSurface::from_fn(
+        &space(),
+        |a| if a == Alloc::new(10, 10) { wcet } else { 4.0 },
+    )
+    .unwrap();
+    let tasks: TaskSet = vec![
+        Task::new(TaskId(0), 10.0, surface).unwrap(),
+        flat_task(1, 10.0, 4.0),
+    ]
+    .into_iter()
+    .collect();
+    let allocation = SystemAllocation::new(
+        vec![
+            vcpu(0, 10.0, 4.0, vec![TaskId(0)]),
+            vcpu(1, 10.0, 4.0, vec![TaskId(1)]),
+        ],
+        vec![
+            CoreAssignment {
+                vcpus: vec![0],
+                alloc: core0,
+            },
+            CoreAssignment {
+                vcpus: vec![1],
+                alloc: Alloc::new(5, 5),
+            },
+        ],
+    );
+    (allocation, tasks)
+}
+
+#[test]
+fn wcet_rounding_to_zero_ns_is_a_typed_error() {
+    // A zero-length run segment ends at the instant it starts, which a
+    // sharded run cannot place in the serial trace order — so a task
+    // whose WCET rounds to 0 ns is rejected, at construction and at a
+    // reallocation alike.
+    let (allocation, tasks) = two_core_system(1e-7, Alloc::new(10, 10));
+    let err = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, short_config())
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimBuildError::ZeroWcet {
+            task: TaskId(0),
+            core: 0
+        }
+    );
+
+    let (allocation, tasks) = two_core_system(1e-7, Alloc::new(5, 5));
+    let err = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, short_config())
+        .unwrap()
+        .with_reallocation(10.0, 0, Alloc::new(10, 10))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::ZeroWcet {
+            task: TaskId(0),
+            core: 0
+        }
+    );
+}
+
+#[test]
+fn one_nanosecond_wcet_traces_identically_sharded() {
+    // The shortest WCET still accepted keeps the sharded trace
+    // identical to the serial one.
+    let (allocation, tasks) = two_core_system(1e-6, Alloc::new(10, 10));
+    let config = short_config().with_trace_capacity(1 << 16);
+    let build =
+        || HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config).unwrap();
+    let (serial_report, serial) = build().run_observed().unwrap();
+    let (report, sharded) = build().run_observed_sharded(2).unwrap();
+    assert!(serial_report.structural_eq(&report));
+    assert_eq!(sharded.trace, serial.trace);
+    assert_eq!(sharded.metrics, serial.metrics);
+}
+
 #[test]
 fn overcommitted_reallocation_surfaces_from_run() {
     // The overcommitment is only detectable when the event fires

@@ -1,5 +1,5 @@
 //! Differential conformance suite for the sharded simulation engine:
-//! `run_sharded` / `run_traced_sharded` / `run_observed_sharded` must
+//! `run_sharded` / `run_observed_sharded` / `run_observed_sharded_with` must
 //! produce **bit-identical** reports, trace streams (records, order,
 //! and ring-eviction drop counts) and metrics exports to the serial
 //! engine — at every thread count, under every core partition, with
@@ -168,10 +168,14 @@ fn sharded_trace_matches_serial_records_order_and_eviction() {
     // A large ring pins the complete emission stream.
     for capacity in [256, 1 << 16] {
         for fault_seed in [None, Some(0xC0FFEE)] {
-            let (serial_report, serial_trace) = build(capacity, fault_seed).run_traced().unwrap();
+            let (serial_report, serial_trace) = build(capacity, fault_seed)
+                .run_observed()
+                .map(|(report, obs)| (report, obs.trace))
+                .unwrap();
             for threads in [1, 2, 8] {
                 let (report, trace) = build(capacity, fault_seed)
-                    .run_traced_sharded(threads)
+                    .run_observed_sharded(threads)
+                    .map(|(report, obs)| (report, obs.trace))
                     .unwrap();
                 assert_structural_eq(&serial_report, &report, "run_traced");
                 assert_eq!(
@@ -245,8 +249,9 @@ fn any_core_partition_yields_the_serial_result() {
         let partition = arb_partition(rng, 4);
         let threads = rng.gen_range(1usize..=8);
         let sharded = build(0, Some(0xFEED))
-            .run_sharded_with(&partition, threads)
-            .unwrap();
+            .run_observed_sharded_with(&partition, threads)
+            .unwrap()
+            .0;
         assert_structural_eq(
             &serial,
             &sharded,
@@ -271,7 +276,9 @@ fn invalid_partitions_are_rejected() {
         CorePartition::from_groups(vec![vec![0, 1, 2, 3], vec![]]),
     ];
     for partition in cases {
-        let err = build(0, None).run_sharded_with(&partition, 2).unwrap_err();
+        let err = build(0, None)
+            .run_observed_sharded_with(&partition, 2)
+            .unwrap_err();
         assert!(
             matches!(err, SimError::InvalidPartition { .. }),
             "expected InvalidPartition, got {err}"

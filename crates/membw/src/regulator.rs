@@ -225,7 +225,7 @@ impl BwRegulator {
     /// the listed cores, leaving every other core's budget, counter and
     /// throttle status untouched. One call counts as one elapsed
     /// period, so a sharded simulation — where each shard replenishes
-    /// exactly its own cores at a regulation barrier — keeps per-shard
+    /// exactly its own cores every period — keeps per-shard
     /// `periods_elapsed` equal to the serial run's.
     ///
     /// Returns the listed cores that were throttled, in the order
@@ -264,7 +264,7 @@ impl BwRegulator {
     /// Folds another regulator's cumulative *statistics* into this one
     /// (sharded-simulation merge): throttle totals add, since each
     /// shard throttles a disjoint core subset. `periods_elapsed` is
-    /// left alone — every shard replenishes at every barrier, so the
+    /// left alone — every shard replenishes every period, so the
     /// per-shard clocks already agree with the serial run's.
     ///
     /// Per-core budget/counter state is *not* merged; the receiver is
@@ -272,7 +272,7 @@ impl BwRegulator {
     pub fn merge_stats(&mut self, other: &BwRegulator) {
         debug_assert_eq!(
             self.periods_elapsed, other.periods_elapsed,
-            "shards must have clocked the same number of barriers"
+            "shards must have clocked the same number of periods"
         );
         self.total_throttles += other.total_throttles;
     }

@@ -156,14 +156,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
-
-    /// The `(time, priority, key)` ordering prefix of the earliest
-    /// pending event, if any, without removing it. Sharded simulation
-    /// compares this against a barrier bound to decide whether the
-    /// next event fires before or after a merge point.
-    pub fn peek_order(&self) -> Option<(SimTime, u64, u64)> {
-        self.heap.peek().map(|e| (e.time, e.priority, e.key))
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -263,16 +255,6 @@ mod tests {
         q.push(t, 0, "unkeyed-later-insertion");
         assert_eq!(q.pop().unwrap().2, "unkeyed-later-insertion");
         assert_eq!(q.pop().unwrap().2, "keyed");
-    }
-
-    #[test]
-    fn peek_order_exposes_ordering_prefix() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_order(), None);
-        q.push_keyed(SimTime::from_ms(2.0), 3, 7, ());
-        q.push_keyed(SimTime::from_ms(1.0), 4, 9, ());
-        assert_eq!(q.peek_order(), Some((SimTime::from_ms(1.0), 4, 9)));
-        assert_eq!(q.len(), 2, "peek must not consume");
     }
 
     #[test]
