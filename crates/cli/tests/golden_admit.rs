@@ -229,3 +229,43 @@ fn admit_summary_agrees_with_the_pinned_log() {
     );
     assert!(out.contains("final state: 7 VMs on 4 cores"), "{out}");
 }
+
+/// Reads integer counter `name` out of a rendered metrics document.
+fn counter(metrics: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let start = metrics.find(&key).unwrap_or_else(|| panic!("{name} missing")) + key.len();
+    let digits: String = metrics[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap_or_else(|_| panic!("{name} is not an integer"))
+}
+
+#[test]
+fn admit_counters_balance() {
+    // Every request ends in exactly one of the five verdict counters.
+    let metrics = ScratchFile::new("balance.json");
+    let (code, out) = run_capture(&[
+        "admit",
+        "--trace-in",
+        &trace_path(),
+        "--seed",
+        "42",
+        "--metrics-out",
+        metrics.as_str(),
+    ]);
+    assert_eq!(code, 0, "output: {out}");
+    let doc = metrics.read();
+    let outcomes: u64 = [
+        "admission.admitted_incremental",
+        "admission.admitted_repack",
+        "admission.rejected",
+        "admission.degraded",
+        "admission.departed",
+    ]
+    .iter()
+    .map(|name| counter(&doc, name))
+    .sum();
+    assert_eq!(counter(&doc, "admission.requests"), 50);
+    assert_eq!(outcomes, 50);
+}

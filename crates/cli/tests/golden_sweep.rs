@@ -20,6 +20,22 @@ const GOLDEN: &str = "    u*  baseline\n\
 \x20 2.00      0.00\n\
 breakdown Baseline (existing CSA)                  0.40\n";
 
+/// The same sweep for a heuristic solution: pins the §4.3
+/// hypervisor-level heuristic's verdicts, which the baseline golden
+/// above never runs.
+const FLATTENING_GOLDEN: &str = "    u*   flatten\n\
+\x20 0.20      1.00\n\
+\x20 0.40      1.00\n\
+\x20 0.60      1.00\n\
+\x20 0.80      1.00\n\
+\x20 1.00      1.00\n\
+\x20 1.20      1.00\n\
+\x20 1.40      0.62\n\
+\x20 1.60      0.00\n\
+\x20 1.80      0.00\n\
+\x20 2.00      0.00\n\
+breakdown Heuristic (flattening)                   1.20\n";
+
 fn run_capture(args: &[&str]) -> (i32, String) {
     let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     let mut buf = Vec::new();
@@ -34,6 +50,15 @@ fn sweep_output_matches_golden() {
     ]);
     assert_eq!(code, 0);
     assert_eq!(out, GOLDEN);
+}
+
+#[test]
+fn flattening_sweep_output_matches_golden() {
+    let (code, out) = run_capture(&[
+        "sweep", "--solution", "flattening", "--seed", "42", "--threads", "2",
+    ]);
+    assert_eq!(code, 0);
+    assert_eq!(out, FLATTENING_GOLDEN);
 }
 
 #[test]
