@@ -581,13 +581,18 @@ impl AdmissionEngine {
 
     /// Admits a batch of concurrent arrivals in one pass.
     ///
-    /// The batch is first put in canonical order (decreasing
+    /// A non-arrival in the batch (departure, mode change) is not a
+    /// concurrent-admission candidate: it goes through
+    /// [`AdmissionEngine::submit`] while the batch is scanned, so all
+    /// non-arrivals are decided first, in submission order. The
+    /// arrivals are then put in canonical order (decreasing
     /// utilization, [`VmId`] on ties), so the outcome — decisions and
-    /// final state — does not depend on the submission order within
+    /// final state — does not depend on their submission order within
     /// the batch. Incremental placements share one merged dirty set,
     /// verified once at the batch boundary (per-core schedulability is
     /// still established during each placement). Returns the batch's
-    /// decisions in canonical order.
+    /// decisions: the non-arrivals' in submission order, then the
+    /// arrivals' in canonical order.
     pub fn submit_batch(&mut self, arrivals: Vec<AdmissionRequest>) -> &[AdmissionDecision] {
         self.stats.batches += 1;
         let mut vms: Vec<VmSpec> = Vec::new();
@@ -596,17 +601,14 @@ impl AdmissionEngine {
             match request {
                 AdmissionRequest::Arrival(vm) => vms.push(vm),
                 // Only arrivals are concurrent-admission candidates;
-                // anything else in a batch is processed in place,
-                // after the arrivals, in submission order.
+                // anything else is submitted right away, before every
+                // arrival of the batch. (Traces only put arrivals in
+                // batches.)
                 other => {
                     let _ = self.submit(other);
                 }
             }
         }
-        // Process any non-arrival stragglers *after* sorting semantics
-        // would be ambiguous — keep it simple and deterministic by
-        // processing arrivals first in canonical order. (Traces only
-        // put arrivals in batches.)
         vms.sort_by(Self::canonical_order);
         let snapshot = self.snapshot();
         let saved = (self.stats, self.next_index, self.decisions.len());
@@ -1382,6 +1384,27 @@ mod tests {
         assert_eq!(forward.decisions(), backward.decisions());
         assert_eq!(forward.allocation(), backward.allocation());
         forward.allocation().verify(forward.platform()).unwrap();
+    }
+
+    #[test]
+    fn batch_non_arrivals_are_decided_before_its_arrivals() {
+        let mut e = engine();
+        e.submit(AdmissionRequest::Arrival(vm(1, 2.0, 2)));
+        let decisions = e
+            .submit_batch(vec![
+                AdmissionRequest::Arrival(vm(2, 3.0, 2)),
+                AdmissionRequest::Departure(VmId(1)),
+                AdmissionRequest::Arrival(vm(3, 1.0, 1)),
+            ])
+            .to_vec();
+        let kinds: Vec<RequestKind> = decisions.iter().map(|d| d.kind).collect();
+        assert_eq!(
+            kinds,
+            [RequestKind::Departure, RequestKind::Arrival, RequestKind::Arrival]
+        );
+        assert_eq!(decisions[0].vm, VmId(1));
+        assert!(matches!(decisions[0].verdict, AdmissionVerdict::Departed));
+        assert_eq!(&e.decisions()[1..], &decisions[..]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
 use vc2m_rng::Rng;
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
-use vc2m_model::{Alloc, Platform, VcpuSpec};
+use vc2m_model::{Alloc, Platform, ResourceSpace, VcpuSpec};
 
 /// Tuning knobs of the three-phase heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +134,12 @@ fn pack_by_clusters(
 /// starts at `(Cmin, Bmin)`; spare partitions go one at a time to the
 /// unschedulable core with the highest utilization reduction.
 ///
+/// A core's verdict and utilizations depend only on its members and
+/// its allocation, and a grant changes one core, so each step
+/// re-evaluates only the core it upgraded ([`CoreRecord`]); the scan
+/// over the records (ascending core, cache before bandwidth, strict
+/// `>`) breaks ties exactly like a full re-evaluation would.
+///
 /// Returns the per-core allocations and whether every core ended up
 /// schedulable.
 fn allocate_resources(
@@ -146,39 +152,24 @@ fn allocate_resources(
     let mut allocs = vec![space.minimum(); m];
     let mut cache_left = space.cache_max() - space.cache_min() * m as u32;
     let mut bw_left = space.bw_max() - space.bw_min() * m as u32;
-
-    let util = |k: usize, a: Alloc| core_utilization(assignment[k].iter().map(|&i| &vcpus[i]), a);
-    let sched = |k: usize, a: Alloc| {
-        core_schedulable(
-            assignment[k]
-                .iter()
-                .map(|&i| &vcpus[i])
-                .collect::<Vec<_>>()
-                .iter()
-                .copied(),
-            a,
-        )
-    };
+    let record = |k: usize, a: Alloc| CoreRecord::new(vcpus, &assignment[k], a, space);
+    let mut records: Vec<CoreRecord> = (0..m).map(|k| record(k, allocs[k])).collect();
 
     loop {
-        let unschedulable: Vec<usize> = (0..m).filter(|&k| !sched(k, allocs[k])).collect();
-        if unschedulable.is_empty() {
+        if records.iter().all(|r| r.schedulable) {
             return (allocs, true);
         }
         // Best single-partition upgrade across unschedulable cores.
         let mut best: Option<(usize, bool, f64)> = None; // (core, is_cache, gain)
-        for &k in &unschedulable {
-            let now = util(k, allocs[k]);
+        for (k, r) in records.iter().enumerate().filter(|(_, r)| !r.schedulable) {
             if cache_left > 0 && allocs[k].cache < space.cache_max() {
-                let upgraded = Alloc::new(allocs[k].cache + 1, allocs[k].bandwidth);
-                let gain = now - util(k, upgraded);
+                let gain = r.utilization - r.cache_up;
                 if best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((k, true, gain));
                 }
             }
             if bw_left > 0 && allocs[k].bandwidth < space.bw_max() {
-                let upgraded = Alloc::new(allocs[k].cache, allocs[k].bandwidth + 1);
-                let gain = now - util(k, upgraded);
+                let gain = r.utilization - r.bw_up;
                 if best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((k, false, gain));
                 }
@@ -188,13 +179,54 @@ fn allocate_resources(
             Some((k, true, gain)) if gain > UTILIZATION_EPS => {
                 allocs[k] = Alloc::new(allocs[k].cache + 1, allocs[k].bandwidth);
                 cache_left -= 1;
+                records[k] = record(k, allocs[k]);
             }
             Some((k, false, gain)) if gain > UTILIZATION_EPS => {
                 allocs[k] = Alloc::new(allocs[k].cache, allocs[k].bandwidth + 1);
                 bw_left -= 1;
+                records[k] = record(k, allocs[k]);
             }
             // No spare partition has any impact on utilization.
             _ => return (allocs, false),
+        }
+    }
+}
+
+/// What Phase 2 needs to know about one core at its allocation `a`:
+/// its verdict, and its utilization at `a`, at one more cache
+/// partition and at one more bandwidth partition.
+///
+/// Every sum is accumulated in member order from -0.0, the identity
+/// `Iterator::sum` starts from, so `schedulable` and `utilization`
+/// equal [`core_schedulable`] and [`core_utilization`] bit for bit,
+/// and each upgrade utilization equals `core_utilization` at the
+/// upgraded allocation.
+struct CoreRecord {
+    schedulable: bool,
+    utilization: f64,
+    /// Utilization at `(c + 1, b)`; NaN, and never read, at `c = C`.
+    cache_up: f64,
+    /// Utilization at `(c, b + 1)`; NaN, and never read, at `b = B`.
+    bw_up: f64,
+}
+
+impl CoreRecord {
+    fn new(vcpus: &[VcpuSpec], members: &[usize], a: Alloc, space: ResourceSpace) -> Self {
+        let cache = (a.cache < space.cache_max()).then(|| Alloc::new(a.cache + 1, a.bandwidth));
+        let bw = (a.bandwidth < space.bw_max()).then(|| Alloc::new(a.cache, a.bandwidth + 1));
+        let (mut feasible, mut utilization) = (true, -0.0);
+        let (mut cache_up, mut bw_up) = (-0.0, -0.0);
+        for v in members.iter().map(|&i| &vcpus[i]) {
+            feasible &= v.is_feasible_at(a);
+            utilization += v.utilization(a);
+            cache_up += cache.map_or(f64::NAN, |up| v.utilization(up));
+            bw_up += bw.map_or(f64::NAN, |up| v.utilization(up));
+        }
+        CoreRecord {
+            schedulable: feasible && utilization <= 1.0 + UTILIZATION_EPS,
+            utilization,
+            cache_up,
+            bw_up,
         }
     }
 }
@@ -210,9 +242,8 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
 
     for k in 0..m {
         loop {
-            let source_vcpus: Vec<&VcpuSpec> = assignment[k].iter().map(|&i| &vcpus[i]).collect();
             if moves_left == 0
-                || core_schedulable(source_vcpus.iter().copied(), allocs[k])
+                || core_schedulable(assignment[k].iter().map(|&i| &vcpus[i]), allocs[k])
                 || assignment[k].is_empty()
             {
                 break;
@@ -232,17 +263,7 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
             // utilization.
             let dest = (0..m)
                 .filter(|&j| j != k)
-                .filter(|&j| {
-                    core_schedulable(
-                        assignment[j]
-                            .iter()
-                            .map(|&i| &vcpus[i])
-                            .collect::<Vec<_>>()
-                            .iter()
-                            .copied(),
-                        allocs[j],
-                    )
-                })
+                .filter(|&j| core_schedulable(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j]))
                 .map(|j| {
                     let after =
                         core_utilization(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j])
@@ -354,6 +375,38 @@ mod tests {
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(2024)
+    }
+
+    #[test]
+    fn core_record_equals_core_check_bit_for_bit() {
+        let platform = Platform::platform_a();
+        let space = platform.resources();
+        let vcpus: Vec<VcpuSpec> = (0..7)
+            .map(|i| cache_hungry_vcpu(i, 7.0 + i as f64, 0.9 + 0.37 * i as f64, 0.3 * i as f64))
+            .collect();
+        let util = |members: &[usize], a: Alloc| {
+            core_utilization(members.iter().map(|&i| &vcpus[i]), a).to_bits()
+        };
+        for n in 0..=vcpus.len() {
+            let members: Vec<usize> = (0..n).rev().collect();
+            for a in space.iter() {
+                let r = CoreRecord::new(&vcpus, &members, a, space);
+                assert_eq!(
+                    r.schedulable,
+                    core_schedulable(members.iter().map(|&i| &vcpus[i]), a),
+                    "n={n} {a}"
+                );
+                assert_eq!(r.utilization.to_bits(), util(&members, a), "n={n} {a}");
+                if a.cache < space.cache_max() {
+                    let up = Alloc::new(a.cache + 1, a.bandwidth);
+                    assert_eq!(r.cache_up.to_bits(), util(&members, up), "n={n} {a}");
+                }
+                if a.bandwidth < space.bw_max() {
+                    let up = Alloc::new(a.cache, a.bandwidth + 1);
+                    assert_eq!(r.bw_up.to_bits(), util(&members, up), "n={n} {a}");
+                }
+            }
+        }
     }
 
     #[test]

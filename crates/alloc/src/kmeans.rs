@@ -141,16 +141,15 @@ pub fn kmeans<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Clustering {
 fn init_plus_plus<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Vec<Vec<f64>> {
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
     centroids.push(points[rng.gen_range(0..points.len())].to_vec());
+    // Each point's squared distance to its nearest centroid so far: a
+    // running minimum, extended by the newest centroid each round,
+    // folds the distances in centroid order like a full recomputation.
+    let mut weights = vec![f64::INFINITY; points.len()];
     while centroids.len() < k {
-        let weights: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                centroids
-                    .iter()
-                    .map(|c| distance_sq(p, c))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
+        let newest = centroids.last().expect("one centroid chosen");
+        for (w, p) in weights.iter_mut().zip(points) {
+            *w = w.min(distance_sq(p, newest));
+        }
         let total: f64 = weights.iter().sum();
         let chosen = if total <= 0.0 {
             rng.gen_range(0..points.len())
@@ -171,17 +170,56 @@ fn init_plus_plus<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Vec<Vec<f
     centroids
 }
 
+/// Index of the centroid nearest to `p`, the lowest index on a tie.
 fn nearest_centroid(p: &[f64], centroids: &[Vec<f64>]) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let d = distance_sq(p, c);
+    for_each_distance_sq(p, centroids, |i, d| {
         if d < best_d {
             best_d = d;
             best = i;
         }
-    }
+    });
     best
+}
+
+/// Centroids whose distances one pass over the dimensions computes.
+const LANES: usize = 4;
+
+/// Calls `f(i, distance_sq(p, &centroids[i]))` for every centroid in
+/// index order. Up to [`LANES`] distances share one pass over the
+/// dimensions, each in its own accumulator summed in dimension order,
+/// so each equals [`distance_sq`] bit for bit while the additions of
+/// different centroids overlap instead of waiting on one another.
+fn for_each_distance_sq(p: &[f64], centroids: &[Vec<f64>], mut f: impl FnMut(usize, f64)) {
+    for (g, group) in centroids.chunks(LANES).enumerate() {
+        let mut emit = |distances: &[f64]| {
+            for (j, &d) in distances.iter().enumerate() {
+                f(g * LANES + j, d);
+            }
+        };
+        match group.len() {
+            4 => emit(&lanes::<4>(p, group)),
+            3 => emit(&lanes::<3>(p, group)),
+            2 => emit(&lanes::<2>(p, group)),
+            _ => emit(&lanes::<1>(p, group)),
+        }
+    }
+}
+
+/// Squared distances from `p` to each of the `N` centroids of `group`.
+fn lanes<const N: usize>(p: &[f64], group: &[Vec<f64>]) -> [f64; N] {
+    let centroids: [&[f64]; N] = std::array::from_fn(|j| &group[j][..p.len()]);
+    // -0.0, the identity `Iterator::sum` starts from, keeps even a
+    // zero-dimension distance bitwise equal.
+    let mut sums = [-0.0; N];
+    for (d, &x) in p.iter().enumerate() {
+        for (sum, c) in sums.iter_mut().zip(&centroids) {
+            let diff = x - c[d];
+            *sum += diff * diff;
+        }
+    }
+    sums
 }
 
 fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
@@ -191,10 +229,58 @@ fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_rng::DetRng;
+    use vc2m_rng::{DetRng, Rng};
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(17)
+    }
+
+    /// Deterministic pseudo-random features, spread over several
+    /// binades so the rounding of each addition matters.
+    fn features(n: usize, dim: usize, rng: &mut DetRng) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| rng.gen_f64() * 10f64.powi(rng.gen_range(0..6usize) as i32 - 3))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_distances_equal_distance_sq_bit_for_bit() {
+        let mut rng = rng();
+        for k in 1..=9 {
+            for dim in [0, 1, 3, 7, 19, 381] {
+                let centroids = features(k, dim, &mut rng);
+                let p = &features(1, dim, &mut rng)[0];
+                let mut seen = Vec::new();
+                for_each_distance_sq(p, &centroids, |i, d| seen.push((i, d.to_bits())));
+                let expected: Vec<(usize, u64)> = centroids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| (i, distance_sq(p, c).to_bits()))
+                    .collect();
+                assert_eq!(seen, expected, "k={k} dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_centroid_breaks_exact_ties_toward_the_lowest_index() {
+        let p = [1.0, 2.0, 3.0];
+        let near = vec![1.5, 2.0, 3.0];
+        let far = vec![9.0, 9.0, 9.0];
+        for k in 2..=6 {
+            for first in 0..k - 1 {
+                for second in first + 1..k {
+                    let mut centroids = vec![far.clone(); k];
+                    centroids[first] = near.clone();
+                    centroids[second] = near.clone();
+                    assert_eq!(nearest_centroid(&p, &centroids), first, "k={k}");
+                }
+            }
+        }
     }
 
     #[test]

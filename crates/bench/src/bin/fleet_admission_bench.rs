@@ -254,6 +254,10 @@ fn run(requests: usize, iters: usize) -> (String, Option<f64>) {
         .str("scale", if full_scale_requested() { "full" } else { "quick" })
         .int("requests", requests as u64)
         .int("seed", SEED)
+        .int(
+            "host_cpus",
+            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        )
         .bool("conformant", true)
         .raw("throughput", json_array(throughput_rows))
         .int("memo_hosts", MEMO_HOSTS as u64)
