@@ -11,7 +11,9 @@
 //! 3. Survivors are isolated: until the first fault fires, an armed
 //!    replay is byte-identical to the fault-free one, and a crashed
 //!    host serves nothing afterwards.
-//! 4. A journaled engine recovers bit-identically at EVERY journal
+//! 4. The evacuation books balance: the end-of-replay flush drains the
+//!    queue, so every evacuated VM was placed, exhausted or cancelled.
+//! 5. A journaled engine recovers bit-identically at EVERY journal
 //!    prefix: recover the prefix, re-drive the tail, and the decision
 //!    log, allocation, and counters equal the never-crashed engine's.
 
@@ -38,6 +40,17 @@ fn chaos_scenario(trace_seed: u64) -> (Vec<FleetWorkItem>, FleetScenario, Platfo
     (items, scenario, platform, FleetConfig::new(4, SEED))
 }
 
+/// Every evacuated VM ends placed, exhausted or cancelled — none is
+/// left pending after a replay.
+fn assert_evacuations_balance(fleet: &AdmissionFleet) {
+    let stats = fleet.router().stats();
+    assert_eq!(
+        stats.evacuated_vms,
+        stats.evac_placed + stats.evac_exhausted + stats.evac_cancelled,
+        "evacuation books do not balance: {stats:?}"
+    );
+}
+
 /// Fault-armed parallel == fault-armed serial at 1, 2, and 8 threads,
 /// across three generated chaos scenarios: merged log bytes (with
 /// `evac` markers), per-host allocations, aggregate and fleet
@@ -51,6 +64,7 @@ fn fault_armed_parallel_replay_is_thread_count_invariant() {
         let mut serial = AdmissionFleet::new(platform, config);
         serial.arm(scenario.clone()).unwrap();
         serial.replay(&items);
+        assert_evacuations_balance(&serial);
         total_faults += serial.router().stats().faults_injected;
         total_evacuated += serial.router().stats().evacuated_vms;
         for threads in [1, 2, 8] {
@@ -62,6 +76,7 @@ fn fault_armed_parallel_replay_is_thread_count_invariant() {
                 threads,
             )
             .unwrap();
+            assert_evacuations_balance(&parallel);
             assert_eq!(
                 parallel.log_text(),
                 serial.log_text(),
@@ -93,6 +108,7 @@ fn chaos_replay_is_reproducible_from_its_seeds() {
         let mut f = AdmissionFleet::new(platform, config);
         f.arm(scenario).unwrap();
         f.replay(&items);
+        assert_evacuations_balance(&f);
         f
     };
     let a = run();
@@ -122,6 +138,7 @@ fn survivors_are_isolated_from_a_crash() {
     let mut armed = AdmissionFleet::new(platform, config);
     armed.arm(scenario).unwrap();
     armed.replay(&items);
+    assert_evacuations_balance(&armed);
     // Tickets consumed by the first `crash_item` work items in the
     // fault-free run — the prefix both replays must share byte for
     // byte, because no fault has fired yet.

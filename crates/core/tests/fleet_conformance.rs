@@ -10,11 +10,15 @@
 //!    produce bit-identical decision logs on the rejection-heavy
 //!    preset the memo exists for (only the `memo_*` counters differ).
 //!
+//! 4. Direct submits ARE replay — driving the work items one by one
+//!    through `submit`/`submit_batch` serves every request exactly as
+//!    `replay` does.
+//!
 //! Plus the seeded routing property: shard routing is a pure function
 //! of the canonical batch order, so permuting a batch's member order
 //! never changes the merged log.
 
-use vc2m::admission::{fleet_items, generate, replay, replay_fleet, TraceItem, TraceSpec};
+use vc2m::admission::{fleet_items, generate, replay, TraceItem, TraceSpec};
 use vc2m::prelude::*;
 use vc2m_rng::cases::check;
 use vc2m_rng::Rng;
@@ -35,7 +39,7 @@ fn one_host_fleet_equals_plain_engine_byte_for_byte() {
     let mut engine = AdmissionEngine::new(platform, AdmissionConfig::new(SEED));
     replay(&mut engine, &trace);
     let mut one = fleet(platform, 1);
-    replay_fleet(&mut one, &trace);
+    one.replay(&fleet_items(&trace, platform.resources()));
     assert_eq!(one.log_text(), engine.log_text());
     assert_eq!(one.engines()[0].allocation(), engine.allocation());
     assert_eq!(&one.aggregate_stats(), engine.stats());
@@ -146,4 +150,43 @@ fn routing_is_deterministic_under_batch_permutation() {
             assert_eq!(a.allocation(), b.allocation());
         }
     });
+}
+
+/// Direct submits == replay on multi-host traces: each work item
+/// driven through `submit`/`submit_batch` gives the same merged log,
+/// per-host allocations, engine counters and router stats as
+/// `replay`, and each call returns exactly the decisions it appended.
+#[test]
+fn direct_submits_equal_replay() {
+    let platform = Platform::platform_a();
+    for spec in [
+        TraceSpec::new(120, 23).with_hosts(3),
+        TraceSpec::rejection_heavy(150, 7, 4),
+    ] {
+        let trace = generate(&spec);
+        let items = fleet_items(&trace, platform.resources());
+        let mut replayed = fleet(platform, trace.hosts());
+        replayed.replay(&items);
+        let mut submitted = fleet(platform, trace.hosts());
+        for item in &items {
+            let before = submitted.decisions().len();
+            let returned = match item {
+                FleetWorkItem::Single(request) => vec![submitted.submit(request.clone()).clone()],
+                FleetWorkItem::Batch(requests) => submitted.submit_batch(requests.clone()).to_vec(),
+            };
+            assert_eq!(returned, submitted.decisions()[before..]);
+        }
+        assert_eq!(submitted.log_text(), replayed.log_text());
+        assert_eq!(submitted.aggregate_stats(), replayed.aggregate_stats());
+        assert_eq!(submitted.router().stats(), replayed.router().stats());
+        assert_eq!(submitted.router().loads(), replayed.router().loads());
+        for (host, (s, r)) in submitted
+            .engines()
+            .iter()
+            .zip(replayed.engines())
+            .enumerate()
+        {
+            assert_eq!(s.allocation(), r.allocation(), "host {host} diverged");
+        }
+    }
 }
