@@ -23,10 +23,11 @@
 //!   or opening a new core when needed. Only the *perturbed* cores are
 //!   then re-verified ([`SystemAllocation::verify_cores`]); untouched
 //!   cores keep their standing proof. If incremental placement fails,
-//!   fall back to a full repack: [`allocate_with_degradation`] over
-//!   the whole working set plus the newcomer with a **no-shed** policy
-//!   (one attempt), so an arrival can never evict an admitted VM. If
-//!   the repack also fails, the arrival is rejected and the state is
+//!   fall back to a full repack: the configured [`Solution`] re-solves
+//!   the whole working set plus the newcomer from scratch, and the
+//!   result must pass a full [`SystemAllocation::verify`]. Nothing is
+//!   ever shed, so an arrival can never evict an admitted VM. If the
+//!   repack fails, the arrival is rejected and the state is
 //!   untouched.
 //! * **Departure** — remove the VM's VCPUs in place, compact indices,
 //!   and drop emptied cores (their partitions return to the spare
@@ -50,9 +51,8 @@
 //! choice is derived from the engine seed: the VM level for an
 //! arriving VM uses a stream that is a pure function of
 //! `(engine seed, VmId, mode revision)`, and the repack path passes
-//! the engine seed to [`allocate_with_degradation`], so a repack
-//! result is a pure function of the working set. No wall clock, no
-//! global state.
+//! the engine seed to the solver, so a repack result is a pure
+//! function of the working set. No wall clock, no global state.
 //!
 //! # Safety guarantee
 //!
@@ -63,7 +63,6 @@
 //!
 //! [`allocate_with_degradation`]: crate::allocate_with_degradation
 
-use crate::degrade::{allocate_with_degradation, DegradationPolicy};
 use crate::error::AllocError;
 use crate::result::{CoreAssignment, SystemAllocation};
 use crate::solution::Solution;
@@ -153,9 +152,8 @@ pub enum AdmissionPath {
     /// Warm-start placement into the current allocation; only the
     /// perturbed cores were re-verified.
     Incremental,
-    /// Full re-allocation of the working set via
-    /// [`allocate_with_degradation`](crate::allocate_with_degradation)
-    /// (no-shed policy).
+    /// Full re-allocation of the working set by the configured
+    /// solution, proven by a full verify (nothing is shed).
     Repack,
 }
 
@@ -420,10 +418,6 @@ impl RejectionMemo {
         true
     }
 }
-
-/// The no-shed repack policy: one attempt, so an arrival can never
-/// evict an already admitted VM.
-const REPACK_POLICY: DegradationPolicy = DegradationPolicy { max_attempts: 1 };
 
 /// Snapshot of the mutable engine state, for mode-change rollback and
 /// the batch safety net.
@@ -859,22 +853,30 @@ impl AdmissionEngine {
         hash
     }
 
-    /// Full repack fallback: re-allocate the whole working set plus
-    /// the newcomer from scratch (no-shed policy — failure rejects the
-    /// newcomer, never an incumbent).
+    /// Full repack fallback: re-solve the whole working set plus the
+    /// newcomer from scratch with the configured solution, then prove
+    /// the result with a full verify. Failure rejects the newcomer,
+    /// never an incumbent.
     fn repack(&mut self, vm: VmSpec, revision: u64) -> AdmissionVerdict {
         self.stats.repack_attempts += 1;
         let mut candidate: Vec<VmSpec> = self.vms.clone();
         candidate.push(vm);
-        let outcome = allocate_with_degradation(
-            self.config.solution,
-            &candidate,
-            &self.platform,
-            self.config.seed,
-            &REPACK_POLICY,
-        );
-        match outcome.allocation {
-            Some(allocation) => {
+        let solved = match self
+            .config
+            .solution
+            .try_allocate(&candidate, &self.platform, self.config.seed)
+        {
+            Ok(outcome) => match outcome.into_allocation() {
+                Some(allocation) => match allocation.verify(&self.platform) {
+                    Ok(()) => Ok(allocation),
+                    Err(e) => Err(format!("verification failed: {e}")),
+                },
+                None => Err("workload not schedulable".to_string()),
+            },
+            Err(e) => Err(e.to_string()),
+        };
+        match solved {
+            Ok(allocation) => {
                 self.vms = candidate;
                 self.revisions.push(revision);
                 self.vcpus = allocation.vcpus().to_vec();
@@ -885,14 +887,8 @@ impl AdmissionEngine {
                     path: AdmissionPath::Repack,
                 }
             }
-            None => {
+            Err(reason) => {
                 self.stats.rejected += 1;
-                let reason = outcome
-                    .report
-                    .shed
-                    .first()
-                    .map(|s| s.reason.clone())
-                    .unwrap_or_else(|| "workload not schedulable".to_string());
                 AdmissionVerdict::Rejected { reason }
             }
         }

@@ -7,8 +7,10 @@
 //!
 //! 1. attempt a full allocation of the working set;
 //! 2. on failure (an [`AllocError`] or an unschedulable verdict), shed
-//!    the VM with the **highest** reference utilization — so the
-//!    lowest-utilization VMs are shed *last* — and retry;
+//!    the VM with the **highest** reference utilization within the
+//!    lowest [`Criticality`] class present — so LO VMs go before any
+//!    HI VM, and the lowest-utilization VMs of a class are shed
+//!    *last* — and retry;
 //! 3. stop after [`DegradationPolicy::max_attempts`] attempts or when
 //!    the working set is empty.
 //!
@@ -18,9 +20,8 @@
 //! whole loop is deterministic — shedding breaks utilization ties by
 //! first position, and the allocator itself is seeded.
 //!
-//! [`allocate_with_degradation_prioritized`] extends the shed order to
-//! mixed-criticality workloads: LO VMs are sacrificed (heaviest first)
-//! before any HI VM is touched, per [`Criticality`].
+//! This is the one entry point: a caller without mixed criticality
+//! passes an empty criticality slice, which makes every VM LO.
 
 use crate::error::AllocError;
 use crate::result::SystemAllocation;
@@ -33,7 +34,7 @@ use vc2m_model::{Platform, VmId, VmSpec};
 ///
 /// HI VMs keep their guarantees while LO VMs degrade first: both the
 /// degradation controller's shed order
-/// ([`allocate_with_degradation_prioritized`]) and the fleet's
+/// ([`allocate_with_degradation`]) and the fleet's
 /// evacuation order are *criticality-major* — every LO VM is
 /// sacrificed before the first HI VM is touched, with ties broken by
 /// the historical utilization-desc/id-asc rule. The default is LO, so
@@ -141,33 +142,22 @@ impl DegradationOutcome {
     }
 }
 
-/// Allocates `vms` with `solution`, shedding highest-utilization VMs
-/// on failure until an allocation is accepted or the policy's attempt
-/// bound is hit (see the [module docs](self)).
+/// Allocates `vms` with `solution`, shedding VMs on failure until an
+/// allocation is accepted or the policy's attempt bound is hit (see
+/// the [module docs](self)).
+///
+/// `criticalities` is parallel to `vms`; missing entries default to
+/// [`Criticality::Lo`], so an empty slice means every VM is LO.
+/// Shedding is *criticality-major*: the highest-utilization **LO** VM
+/// is shed first (ties by first position), and a HI VM is only ever
+/// shed once no LO VM remains in the working set — so HI guarantees
+/// survive as long as there is any LO work left to sacrifice.
 ///
 /// The returned allocation, when present, has passed
 /// [`SystemAllocation::verify`] against `platform` — including the
 /// schedulability of every core — so an accepted solution is never
 /// unschedulable.
 pub fn allocate_with_degradation(
-    solution: Solution,
-    vms: &[VmSpec],
-    platform: &Platform,
-    seed: u64,
-    policy: &DegradationPolicy,
-) -> DegradationOutcome {
-    allocate_with_degradation_prioritized(solution, vms, &[], platform, seed, policy)
-}
-
-/// Criticality-aware variant of [`allocate_with_degradation`]:
-/// `criticalities` is parallel to `vms` (missing entries default to
-/// [`Criticality::Lo`], so the plain entry point is exactly this call
-/// with an empty slice). Shedding is *criticality-major*: the highest
-/// utilization **LO** VM is shed first (ties by first position), and a
-/// HI VM is only ever shed once no LO VM remains in the working set —
-/// so HI guarantees survive as long as there is any LO work left to
-/// sacrifice.
-pub fn allocate_with_degradation_prioritized(
     solution: Solution,
     vms: &[VmSpec],
     criticalities: &[Criticality],
@@ -359,6 +349,7 @@ mod tests {
         let outcome = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
+            &[],
             &platform,
             7,
             &DegradationPolicy::default(),
@@ -380,6 +371,7 @@ mod tests {
         let outcome = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
+            &[],
             &platform,
             7,
             &DegradationPolicy::default(),
@@ -402,8 +394,14 @@ mod tests {
         let platform = Platform::platform_a();
         let vms = vec![vm(0, 0, 9.0, 10), vm(1, 100, 9.0, 10), vm(2, 200, 9.0, 10)];
         let policy = DegradationPolicy::with_max_attempts(2);
-        let outcome =
-            allocate_with_degradation(Solution::HeuristicFlattening, &vms, &platform, 7, &policy);
+        let outcome = allocate_with_degradation(
+            Solution::HeuristicFlattening,
+            &vms,
+            &[],
+            &platform,
+            7,
+            &policy,
+        );
         assert!(outcome.allocation.is_none());
         assert_eq!(outcome.report.attempts, 2);
         assert_eq!(outcome.report.shed.len(), 2);
@@ -421,6 +419,7 @@ mod tests {
         let outcome = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
+            &[],
             &platform,
             7,
             &DegradationPolicy::default(),
@@ -496,7 +495,7 @@ mod tests {
         // the HI VM here, so also check the ordering *within* LO.
         let vms = vec![vm(0, 0, 2.0, 2), vm(1, 100, 8.0, 10), vm(2, 200, 8.0, 5)];
         let crits = [Criticality::Hi, Criticality::Lo, Criticality::Lo];
-        let outcome = allocate_with_degradation_prioritized(
+        let outcome = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
             &crits,
@@ -522,7 +521,7 @@ mod tests {
         // class is eventually shed — but only after every LO VM.
         let vms = vec![vm(0, 0, 9.0, 10), vm(1, 100, 2.0, 2)];
         let crits = [Criticality::Hi, Criticality::Lo];
-        let outcome = allocate_with_degradation_prioritized(
+        let outcome = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
             &crits,
@@ -546,18 +545,19 @@ mod tests {
         let platform = Platform::platform_a();
         let vms = vec![vm(0, 0, 8.0, 10), vm(1, 100, 8.0, 5), vm(2, 200, 2.0, 2)];
         let policy = DegradationPolicy::default();
-        let plain =
-            allocate_with_degradation(Solution::HeuristicFlattening, &vms, &platform, 7, &policy);
-        let all_lo = allocate_with_degradation_prioritized(
-            Solution::HeuristicFlattening,
-            &vms,
-            &[Criticality::Lo; 3],
-            &platform,
-            7,
-            &policy,
-        );
-        assert_eq!(plain, all_lo);
-        assert!(plain.report.shed.iter().all(|s| s.criticality == Criticality::Lo));
+        let run = |criticalities: &[Criticality]| {
+            allocate_with_degradation(
+                Solution::HeuristicFlattening,
+                &vms,
+                criticalities,
+                &platform,
+                7,
+                &policy,
+            )
+        };
+        let unlabelled = run(&[]);
+        assert_eq!(unlabelled, run(&[Criticality::Lo; 3]));
+        assert!(unlabelled.report.shed.iter().all(|s| s.criticality == Criticality::Lo));
     }
 
     #[test]
@@ -567,6 +567,7 @@ mod tests {
         let a = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
+            &[],
             &platform,
             7,
             &DegradationPolicy::default(),
@@ -574,6 +575,7 @@ mod tests {
         let b = allocate_with_degradation(
             Solution::HeuristicFlattening,
             &vms,
+            &[],
             &platform,
             7,
             &DegradationPolicy::default(),

@@ -85,17 +85,29 @@
 //! ([`AdmissionFleet::replay_parallel_armed`]) stays byte-identical to
 //! serial at every thread count.
 //!
-//! # Parallel replay
+//! # One execution path
 //!
-//! [`AdmissionFleet::replay_parallel`] reuses the coarse-unit executor
-//! pattern of the sweep: the routing pass (serial, cheap) assigns each
-//! decision a global ticket and buckets the work per host; worker
-//! threads claim whole hosts from an atomic ticket counter, replay
-//! each host's subsequence on a private engine, and the per-host
-//! decision vectors merge once after join by ticket order. The merged
-//! `#NNNNN`-indexed decision log is byte-identical at every thread
-//! count and equal to the serial fleet's, because every engine sees
-//! the identical request subsequence either way.
+//! A single driver routes work items, fires due faults and pumps the
+//! evacuation queue, and hands each host its work as a `HostWork`
+//! value (a request with its global ticket, a sub-batch, an engine
+//! reset, or an injected verify fault). Applying a `HostWork` to an
+//! engine is one function, shared by every caller:
+//!
+//! * [`AdmissionFleet::replay`] applies each unit the moment the
+//!   driver sends it;
+//! * [`AdmissionFleet::submit`] and [`AdmissionFleet::submit_batch`]
+//!   run the same driver for one request or batch, with the fault
+//!   clock held still (they fire no faults and pump no evacuees);
+//! * [`AdmissionFleet::replay_parallel`] records the units into
+//!   per-host plans during a serial routing pass, then worker threads
+//!   claim whole hosts from a shared queue and apply each host's plan
+//!   to a private engine (the coarse-unit executor pattern of the
+//!   sweep).
+//!
+//! Every path then puts the merged decisions in ticket order. The
+//! `#NNNNN`-indexed decision log is therefore byte-identical at every
+//! thread count and between direct submits and replay, because every
+//! engine sees the identical request subsequence either way.
 
 use crate::admission::{
     canonical_vm_order, AdmissionConfig, AdmissionDecision, AdmissionEngine, AdmissionRequest,
@@ -709,16 +721,6 @@ impl FleetRouter {
         }
     }
 
-    /// Bookkeeping for a one-host batch handed verbatim to the
-    /// engine's own batch path: charge arrivals and route the rest, in
-    /// the same order the engine processes them, without choosing
-    /// hosts (there is only one).
-    fn route_batch_bookkeeping(&mut self, requests: &[AdmissionRequest]) {
-        for request in requests {
-            self.route(request);
-        }
-    }
-
     /// Removes `host` from the fleet and queues its VMs for
     /// re-placement, criticality-major (HI first, then utilization
     /// descending, id ascending). Returns the evacuees' ids in that
@@ -887,7 +889,8 @@ pub enum FleetWorkItem {
     Batch(Vec<AdmissionRequest>),
 }
 
-/// Work bucketed for one host by the parallel routing pass.
+/// One unit of per-host work, as the replay driver sends it to an
+/// executor.
 enum HostWork {
     Single(u64, bool, AdmissionRequest),
     Batch(Vec<u64>, Vec<AdmissionRequest>),
@@ -897,53 +900,68 @@ enum HostWork {
     InjectVerifyFault,
 }
 
+impl HostWork {
+    /// Runs this work on `host`'s engine, appending its decisions
+    /// (re-indexed to their global tickets) to `decisions`. This is the
+    /// only code that executes fleet work on an engine: the serial
+    /// fleet, direct submits and the parallel workers all come here.
+    fn apply(
+        self,
+        host: usize,
+        engine: &mut AdmissionEngine,
+        engine_config: AdmissionConfig,
+        decisions: &mut Vec<FleetDecision>,
+    ) {
+        match self {
+            HostWork::Single(ticket, evac, request) => {
+                let mut decision = engine.submit(request).clone();
+                decision.index = ticket;
+                decisions.push(FleetDecision {
+                    host,
+                    decision,
+                    evac,
+                });
+            }
+            HostWork::Batch(tickets, members) => {
+                let batch = engine.submit_batch(members);
+                debug_assert_eq!(batch.len(), tickets.len());
+                for (ticket, decision) in tickets.into_iter().zip(batch) {
+                    let mut decision = decision.clone();
+                    decision.index = ticket;
+                    decisions.push(FleetDecision {
+                        host,
+                        decision,
+                        evac: false,
+                    });
+                }
+            }
+            HostWork::Reset => *engine = AdmissionEngine::new(*engine.platform(), engine_config),
+            HostWork::InjectVerifyFault => engine.inject_verify_failure(),
+        }
+    }
+}
+
 /// Where the shared replay driver sends per-host work: the serial
-/// fleet executes it immediately, the parallel routing pass records it
+/// fleet applies it immediately, the parallel routing pass records it
 /// into per-host plans.
 trait HostExecutor {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool);
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>);
-    fn reset(&mut self, host: usize);
-    fn inject_verify_fault(&mut self, host: usize);
+    fn send(&mut self, host: usize, work: HostWork);
 }
 
 struct SerialHostExec<'a> {
-    platform: Platform,
     engine_config: AdmissionConfig,
     engines: &'a mut Vec<AdmissionEngine>,
     decisions: &'a mut Vec<FleetDecision>,
 }
 
 impl HostExecutor for SerialHostExec<'_> {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool) {
-        let mut decision = self.engines[host].submit(request).clone();
-        decision.index = ticket;
-        self.decisions.push(FleetDecision {
+    fn send(&mut self, host: usize, work: HostWork) {
+        work.apply(
             host,
-            decision,
-            evac,
-        });
-    }
-
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>) {
-        let batch = self.engines[host].submit_batch(members).to_vec();
-        debug_assert_eq!(batch.len(), tickets.len());
-        for (&ticket, mut decision) in tickets.iter().zip(batch) {
-            decision.index = ticket;
-            self.decisions.push(FleetDecision {
-                host,
-                decision,
-                evac: false,
-            });
-        }
-    }
-
-    fn reset(&mut self, host: usize) {
-        self.engines[host] = AdmissionEngine::new(self.platform, self.engine_config);
-    }
-
-    fn inject_verify_fault(&mut self, host: usize) {
-        self.engines[host].inject_verify_failure();
+            &mut self.engines[host],
+            self.engine_config,
+            self.decisions,
+        );
     }
 }
 
@@ -952,20 +970,8 @@ struct PlanHostExec {
 }
 
 impl HostExecutor for PlanHostExec {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool) {
-        self.plan[host].push(HostWork::Single(ticket, evac, request));
-    }
-
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>) {
-        self.plan[host].push(HostWork::Batch(tickets, members));
-    }
-
-    fn reset(&mut self, host: usize) {
-        self.plan[host].push(HostWork::Reset);
-    }
-
-    fn inject_verify_fault(&mut self, host: usize) {
-        self.plan[host].push(HostWork::InjectVerifyFault);
+    fn send(&mut self, host: usize, work: HostWork) {
+        self.plan[host].push(work);
     }
 }
 
@@ -987,45 +993,49 @@ struct Drive<'a, E: HostExecutor> {
 }
 
 impl<E: HostExecutor> Drive<'_, E> {
-    fn run(mut self, items: &[FleetWorkItem]) -> u64 {
+    fn run(&mut self, items: &[FleetWorkItem]) {
         for item in items {
             self.barrier(*self.item_cursor);
             match item {
-                FleetWorkItem::Single(request) => {
-                    let host = self.router.route(request);
-                    self.single(host, request.clone(), false);
-                }
-                FleetWorkItem::Batch(requests) => self.batch(requests),
+                FleetWorkItem::Single(request) => self.route_single(request.clone()),
+                FleetWorkItem::Batch(requests) => self.batch(requests.clone()),
             }
             *self.item_cursor += 1;
         }
         self.flush();
-        self.ticket
+    }
+
+    fn route_single(&mut self, request: AdmissionRequest) {
+        let host = self.router.route(&request);
+        self.single(host, request, false);
     }
 
     fn single(&mut self, host: usize, request: AdmissionRequest, evac: bool) {
-        self.exec.single(host, self.ticket, request, evac);
+        self.exec
+            .send(host, HostWork::Single(self.ticket, evac, request));
         self.ticket += 1;
     }
 
-    fn batch(&mut self, requests: &[AdmissionRequest]) {
+    fn batch(&mut self, requests: Vec<AdmissionRequest>) {
         if self.hosts == 1 {
-            self.router.route_batch_bookkeeping(requests);
+            // Hand the batch verbatim to the engine's own batch path so
+            // even the per-engine counters match the plain engine; the
+            // router only books its members.
+            for request in &requests {
+                self.router.route(request);
+            }
             let tickets: Vec<u64> = (self.ticket..self.ticket + requests.len() as u64).collect();
             self.ticket += requests.len() as u64;
-            self.exec.batch(0, tickets, requests.to_vec());
+            self.exec.send(0, HostWork::Batch(tickets, requests));
             return;
         }
         let mut arrivals: Vec<AdmissionRequest> = Vec::new();
         for request in requests {
             match request {
-                AdmissionRequest::Arrival(_) => arrivals.push(request.clone()),
+                AdmissionRequest::Arrival(_) => arrivals.push(request),
                 // Mirror the engine: anything else in a batch is
                 // processed in place, before the arrivals.
-                other => {
-                    let host = self.router.route(other);
-                    self.single(host, other.clone(), false);
-                }
+                other => self.route_single(other),
             }
         }
         arrivals.sort_by(|a, b| match (a, b) {
@@ -1049,7 +1059,7 @@ impl<E: HostExecutor> Drive<'_, E> {
             self.ticket += 1;
         }
         for (host, tickets, members) in buckets {
-            self.exec.batch(host, tickets, members);
+            self.exec.send(host, HostWork::Batch(tickets, members));
         }
     }
 
@@ -1073,7 +1083,7 @@ impl<E: HostExecutor> Drive<'_, E> {
                 self.router.stats.host_crashes += 1;
                 // Abrupt loss: the engine state is gone before anyone
                 // can depart gracefully.
-                self.exec.reset(host);
+                self.exec.send(host, HostWork::Reset);
                 self.router.evacuate(host, now);
             }
             FleetFault::HostDrain { host } => {
@@ -1088,7 +1098,7 @@ impl<E: HostExecutor> Drive<'_, E> {
             }
             FleetFault::VerifyFault { host } => {
                 self.router.stats.verify_faults += 1;
-                self.exec.inject_verify_fault(host);
+                self.exec.send(host, HostWork::InjectVerifyFault);
             }
         }
     }
@@ -1256,94 +1266,13 @@ impl AdmissionFleet {
         );
     }
 
-    fn push(&mut self, host: usize, mut decision: AdmissionDecision) -> &FleetDecision {
-        decision.index = self.next_index;
-        self.next_index += 1;
-        self.decisions.push(FleetDecision {
-            host,
-            decision,
-            evac: false,
-        });
-        self.decisions.last().expect("just pushed")
-    }
-
-    /// Routes and serves one request.
-    pub fn submit(&mut self, request: AdmissionRequest) -> &FleetDecision {
-        let host = self.router.route(&request);
-        let decision = self.engines[host].submit(request).clone();
-        self.push(host, decision)
-    }
-
-    /// Routes and serves a batch of concurrent arrivals: members are
-    /// put in canonical order, routed in that order, and each host's
-    /// members are admitted as one engine sub-batch. Returns the
-    /// batch's merged decisions in canonical order.
-    pub fn submit_batch(&mut self, requests: Vec<AdmissionRequest>) -> &[FleetDecision] {
-        let first = self.decisions.len();
-        if self.config.hosts == 1 {
-            // Degenerate to the engine's own batch path so even the
-            // per-engine counters match the plain engine exactly.
-            self.router.route_batch_bookkeeping(&requests);
-            let decisions: Vec<AdmissionDecision> = self.engines[0].submit_batch(requests).to_vec();
-            for decision in decisions {
-                self.push(0, decision);
-            }
-            return &self.decisions[first..];
-        }
-        let mut arrivals: Vec<AdmissionRequest> = Vec::new();
-        for request in requests {
-            match request {
-                AdmissionRequest::Arrival(_) => arrivals.push(request),
-                // Mirror the engine: anything else in a batch is
-                // processed in place, before the arrivals.
-                other => {
-                    self.submit(other);
-                }
-            }
-        }
-        arrivals.sort_by(|a, b| match (a, b) {
-            (AdmissionRequest::Arrival(x), AdmissionRequest::Arrival(y)) => {
-                canonical_vm_order(x, y)
-            }
-            _ => unreachable!("only arrivals are collected"),
-        });
-        // Route in canonical order, bucketing per host while keeping
-        // each member's position in the canonical sequence.
-        let mut per_host: Vec<(usize, Vec<usize>, Vec<AdmissionRequest>)> = Vec::new();
-        for (position, request) in arrivals.into_iter().enumerate() {
-            let host = self.router.route(&request);
-            match per_host.iter_mut().find(|(h, _, _)| *h == host) {
-                Some((_, positions, members)) => {
-                    positions.push(position);
-                    members.push(request);
-                }
-                None => per_host.push((host, vec![position], vec![request])),
-            }
-        }
-        per_host.sort_by_key(|&(h, _, _)| h);
-        let mut ordered: Vec<(usize, usize, AdmissionDecision)> = Vec::new();
-        for (host, positions, members) in per_host {
-            let decisions = self.engines[host].submit_batch(members).to_vec();
-            debug_assert_eq!(decisions.len(), positions.len());
-            for (position, decision) in positions.into_iter().zip(decisions) {
-                ordered.push((position, host, decision));
-            }
-        }
-        ordered.sort_by_key(|&(position, _, _)| position);
-        for (_, host, decision) in ordered {
-            self.push(host, decision);
-        }
-        &self.decisions[first..]
-    }
-
-    /// Serially replays pre-materialized work items (the canonical
-    /// fleet semantics the parallel replay is pinned against), firing
-    /// any armed faults at item boundaries and resolving every
-    /// evacuation (placed or exhausted) before returning.
-    pub fn replay(&mut self, items: &[FleetWorkItem]) {
+    /// Runs `f` on the serial driver over this fleet's own engines,
+    /// then restores ticket order over the decisions it appended
+    /// (batch buckets execute host by host). Returns where the
+    /// appended range starts.
+    fn drive(&mut self, f: impl FnOnce(&mut Drive<'_, SerialHostExec<'_>>)) -> usize {
         let first = self.decisions.len();
         let AdmissionFleet {
-            platform,
             config,
             engines,
             router,
@@ -1353,14 +1282,14 @@ impl AdmissionFleet {
             exhausted,
             item_cursor,
             fault_cursor,
+            ..
         } = self;
         let mut exec = SerialHostExec {
-            platform: *platform,
             engine_config: config.engine,
             engines,
             decisions,
         };
-        *next_index = Drive {
+        let mut drive = Drive {
             router,
             plan: &scenario.faults,
             policy: config.evacuation,
@@ -1370,18 +1299,46 @@ impl AdmissionFleet {
             ticket: *next_index,
             exhausted,
             exec: &mut exec,
-        }
-        .run(items);
-        // Batch buckets execute host-by-host; restore global ticket
-        // order over the newly appended range.
+        };
+        f(&mut drive);
+        *next_index = drive.ticket;
         self.decisions[first..].sort_by_key(|d| d.decision.index);
+        first
+    }
+
+    /// Routes and serves one request. Direct submits hold the fault
+    /// clock still: no armed fault fires and no evacuee is pumped.
+    pub fn submit(&mut self, request: AdmissionRequest) -> &FleetDecision {
+        self.drive(|drive| drive.route_single(request));
+        self.decisions
+            .last()
+            .expect("a request yields one decision")
+    }
+
+    /// Routes and serves a batch of concurrent arrivals: members are
+    /// put in canonical order, routed in that order, and each host's
+    /// members are admitted as one engine sub-batch. Returns the
+    /// batch's merged decisions in ticket order (non-arrivals first,
+    /// then arrivals in canonical order). Like [`Self::submit`], fires
+    /// no faults.
+    pub fn submit_batch(&mut self, requests: Vec<AdmissionRequest>) -> &[FleetDecision] {
+        let first = self.drive(|drive| drive.batch(requests));
+        &self.decisions[first..]
+    }
+
+    /// Serially replays pre-materialized work items (the canonical
+    /// fleet semantics the parallel replay is pinned against), firing
+    /// any armed faults at item boundaries and resolving every
+    /// evacuation (placed or exhausted) before returning.
+    pub fn replay(&mut self, items: &[FleetWorkItem]) {
+        self.drive(|drive| drive.run(items));
     }
 
     /// Replays `items` over a fresh fleet in parallel: a serial
     /// routing pass fixes every decision's host and global ticket,
-    /// worker threads claim whole hosts from an atomic counter and
-    /// replay each host's subsequence on a private engine, and the
-    /// decision vectors merge once after the join in ticket order.
+    /// worker threads claim whole hosts from a shared queue and apply
+    /// each host's plan to a private engine, and the decision vectors
+    /// merge once after the join in ticket order.
     ///
     /// The result is bit-identical to `new` + [`Self::replay`] at
     /// every `threads` value (pinned by the fleet conformance suite).
@@ -1413,7 +1370,6 @@ impl AdmissionFleet {
         items: &[FleetWorkItem],
         threads: usize,
     ) -> Result<AdmissionFleet, AllocError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         assert!(threads > 0, "need at least one thread");
         let hosts = config.hosts;
         scenario.validate(hosts)?;
@@ -1428,7 +1384,7 @@ impl AdmissionFleet {
         let mut item_cursor = 0u64;
         let mut fault_cursor = 0usize;
         let mut exhausted = Vec::new();
-        let ticket = Drive {
+        let mut drive = Drive {
             router: &mut router,
             plan: &scenario.faults,
             policy: config.evacuation,
@@ -1438,14 +1394,14 @@ impl AdmissionFleet {
             ticket: 0,
             exhausted: &mut exhausted,
             exec: &mut exec,
-        }
-        .run(items);
-        let plan = exec.plan;
-        // Parallel pass: whole hosts are the work units, claimed from
-        // an atomic ticket counter; everything mutable is per-thread
-        // and merges once after the join (the sweep executor pattern).
-        let next = AtomicUsize::new(0);
-        let plan_ref = &plan;
+        };
+        drive.run(items);
+        let ticket = drive.ticket;
+        // Parallel pass: whole hosts are the work units, claimed in
+        // host order from a shared queue; everything mutable is
+        // per-thread and merges once after the join (the sweep
+        // executor pattern).
+        let queue = std::sync::Mutex::new(exec.plan.into_iter().enumerate());
         let mut host_results: Vec<(usize, AdmissionEngine, Vec<FleetDecision>)> =
             std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..threads.min(hosts))
@@ -1453,47 +1409,14 @@ impl AdmissionFleet {
                         scope.spawn(|| {
                             let mut mine = Vec::new();
                             loop {
-                                let host = next.fetch_add(1, Ordering::Relaxed);
-                                if host >= hosts {
+                                let claimed = queue.lock().expect("fleet queue poisoned").next();
+                                let Some((host, plan)) = claimed else {
                                     break;
-                                }
+                                };
                                 let mut engine = AdmissionEngine::new(platform, config.engine);
                                 let mut decisions = Vec::new();
-                                for work in &plan_ref[host] {
-                                    match work {
-                                        HostWork::Single(ticket, evac, request) => {
-                                            let mut decision =
-                                                engine.submit(request.clone()).clone();
-                                            decision.index = *ticket;
-                                            decisions.push(FleetDecision {
-                                                host,
-                                                decision,
-                                                evac: *evac,
-                                            });
-                                        }
-                                        HostWork::Batch(tickets, members) => {
-                                            let batch =
-                                                engine.submit_batch(members.clone()).to_vec();
-                                            debug_assert_eq!(batch.len(), tickets.len());
-                                            for (ticket, mut decision) in
-                                                tickets.iter().zip(batch)
-                                            {
-                                                decision.index = *ticket;
-                                                decisions.push(FleetDecision {
-                                                    host,
-                                                    decision,
-                                                    evac: false,
-                                                });
-                                            }
-                                        }
-                                        HostWork::Reset => {
-                                            engine =
-                                                AdmissionEngine::new(platform, config.engine);
-                                        }
-                                        HostWork::InjectVerifyFault => {
-                                            engine.inject_verify_failure();
-                                        }
-                                    }
+                                for work in plan {
+                                    work.apply(host, &mut engine, config.engine, &mut decisions);
                                 }
                                 mine.push((host, engine, decisions));
                             }

@@ -65,8 +65,8 @@ pub use admission::{
     AdmissionStats, AdmissionVerdict, RequestKind,
 };
 pub use degrade::{
-    allocate_with_degradation, allocate_with_degradation_prioritized, Criticality,
-    DegradationOutcome, DegradationPolicy, DegradationReport, ShedVm,
+    allocate_with_degradation, Criticality, DegradationOutcome, DegradationPolicy,
+    DegradationReport, ShedVm,
 };
 pub use error::AllocError;
 pub use fleet::{

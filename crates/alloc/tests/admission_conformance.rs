@@ -197,6 +197,7 @@ fn repack_admission_equals_direct_degradation_solve() {
             let outcome = allocate_with_degradation(
                 Solution::Auto,
                 &candidate,
+                &[],
                 &platform,
                 42,
                 &DegradationPolicy { max_attempts: 1 },

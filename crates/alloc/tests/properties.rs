@@ -227,8 +227,14 @@ fn degradation_partial_verify_matches_full_verify_reference() {
         let vms = generator.generate_vms();
         let policy = vc2m_alloc::DegradationPolicy::default();
         for solution in [Solution::HeuristicFlattening, Solution::Auto] {
-            let fast =
-                vc2m_alloc::allocate_with_degradation(solution, &vms, &platform, seed, &policy);
+            let fast = vc2m_alloc::allocate_with_degradation(
+                solution,
+                &vms,
+                &[],
+                &platform,
+                seed,
+                &policy,
+            );
             let reference =
                 degrade_full_verify_reference(solution, &vms, &platform, seed, &policy);
             assert_eq!(fast, reference, "divergence at seed {seed} ({solution})");

@@ -163,8 +163,14 @@ fn timed_scratch_pass(platform: &Platform, items: &[StreamItem]) -> Vec<f64> {
                     let previous = working.clone();
                     working.retain(|w| w.id() != vm.id());
                     working.push(vm.clone());
-                    let outcome =
-                        allocate_with_degradation(Solution::Auto, &working, platform, SEED, &NO_SHED);
+                    let outcome = allocate_with_degradation(
+                        Solution::Auto,
+                        &working,
+                        &[],
+                        platform,
+                        SEED,
+                        &NO_SHED,
+                    );
                     if outcome.allocation.is_none() {
                         working = previous;
                     }
@@ -177,6 +183,7 @@ fn timed_scratch_pass(platform: &Platform, items: &[StreamItem]) -> Vec<f64> {
                         std::hint::black_box(allocate_with_degradation(
                             Solution::Auto,
                             &working,
+                            &[],
                             platform,
                             SEED,
                             &NO_SHED,

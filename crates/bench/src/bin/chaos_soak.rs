@@ -144,8 +144,14 @@ fn run_scenario(
     let mut generator = TasksetGenerator::new(platform.resources(), config, seed);
     let vms = generator.generate_vms();
 
-    let outcome =
-        allocate_with_degradation(Solution::HeuristicFlattening, &vms, platform, seed, policy);
+    let outcome = allocate_with_degradation(
+        Solution::HeuristicFlattening,
+        &vms,
+        &[],
+        platform,
+        seed,
+        policy,
+    );
     // Shed order contract: non-increasing utilization, so the
     // lightest VMs are shed last.
     for pair in outcome.report.shed.windows(2) {
@@ -282,6 +288,7 @@ struct FleetTotals {
     evac_lo: u64,
     evac_placed: u64,
     evac_exhausted: u64,
+    evac_cancelled: u64,
     sheds: u64,
     hi_sheds: u64,
     hi_shed_violations: u64,
@@ -342,6 +349,13 @@ fn run_fleet_scenario(seed: u64, platform: &Platform, policy: &DegradationPolicy
         );
     }
     let stats = serial.router().stats();
+    // The end-of-replay flush drains the evacuation queue, so every
+    // evacuated VM was placed, exhausted or cancelled.
+    assert_eq!(
+        stats.evacuated_vms,
+        stats.evac_placed + stats.evac_exhausted + stats.evac_cancelled,
+        "seed {seed}: evacuation books do not balance"
+    );
     totals.faults_injected += stats.faults_injected;
     totals.host_crashes += stats.host_crashes;
     totals.host_drains += stats.host_drains;
@@ -351,6 +365,7 @@ fn run_fleet_scenario(seed: u64, platform: &Platform, policy: &DegradationPolicy
     totals.evac_lo += stats.evac_lo;
     totals.evac_placed += stats.evac_placed;
     totals.evac_exhausted += stats.evac_exhausted;
+    totals.evac_cancelled += stats.evac_cancelled;
 
     // Criticality contract under overload: shed order is
     // criticality-major, so HI work survives while any LO remains.
@@ -367,7 +382,7 @@ fn run_fleet_scenario(seed: u64, platform: &Platform, policy: &DegradationPolicy
             }
         })
         .collect();
-    let outcome = allocate_with_degradation_prioritized(
+    let outcome = allocate_with_degradation(
         Solution::HeuristicFlattening,
         &vms,
         &crits,
@@ -401,6 +416,7 @@ fn main() {
     let platform = Platform::platform_a();
     let policy = DegradationPolicy::default();
     let horizon = SimDuration::from_ms(3000.0);
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     println!(
         "chaos soak: {scenarios} scenarios on {platform}, horizon 3000 ms, {threads} threads"
     );
@@ -449,8 +465,14 @@ fn main() {
     let config = TasksetConfig::new(6.0, UtilizationDist::BimodalHeavy).with_vm_count(4);
     let mut generator = TasksetGenerator::new(platform.resources(), config, 0xc4a05);
     let vms = generator.generate_vms();
-    let outcome =
-        allocate_with_degradation(Solution::HeuristicFlattening, &vms, &platform, 0xc4a05, &policy);
+    let outcome = allocate_with_degradation(
+        Solution::HeuristicFlattening,
+        &vms,
+        &[],
+        &platform,
+        0xc4a05,
+        &policy,
+    );
     assert!(
         outcome.report.is_degraded(),
         "a 6.0-utilization workload cannot be fully admitted"
@@ -472,6 +494,7 @@ fn main() {
     let json = JsonBuilder::new()
         .str("bench", "chaos_soak")
         .int("scenarios", scenarios)
+        .int("host_cpus", host_cpus)
         .int("containment_runs", containment_runs)
         .int("containment_tasks_checked", containment_tasks_checked)
         .int("containment_violations", 0)
@@ -510,13 +533,14 @@ fn main() {
         fleet_totals.evac_lo += t.evac_lo;
         fleet_totals.evac_placed += t.evac_placed;
         fleet_totals.evac_exhausted += t.evac_exhausted;
+        fleet_totals.evac_cancelled += t.evac_cancelled;
         fleet_totals.sheds += t.sheds;
         fleet_totals.hi_sheds += t.hi_sheds;
         fleet_totals.hi_shed_violations += t.hi_shed_violations;
     }
     println!(
         "  {fleet_scenarios} scenarios | {} faults ({} crashes, {} drains, {} verify) | \
-         {} evacuated ({} hi, {} lo): {} placed, {} exhausted | \
+         {} evacuated ({} hi, {} lo): {} placed, {} exhausted, {} cancelled | \
          {} sheds ({} hi, {} violations)",
         fleet_totals.faults_injected,
         fleet_totals.host_crashes,
@@ -527,6 +551,7 @@ fn main() {
         fleet_totals.evac_lo,
         fleet_totals.evac_placed,
         fleet_totals.evac_exhausted,
+        fleet_totals.evac_cancelled,
         fleet_totals.sheds,
         fleet_totals.hi_sheds,
         fleet_totals.hi_shed_violations,
@@ -534,6 +559,7 @@ fn main() {
     let fleet_json = JsonBuilder::new()
         .str("bench", "fleet_chaos")
         .int("scenarios", fleet_scenarios)
+        .int("host_cpus", host_cpus)
         .bool("conformant", true)
         .int("fleet.faults.injected", fleet_totals.faults_injected)
         .int("fleet.faults.crashes", fleet_totals.host_crashes)
@@ -544,6 +570,7 @@ fn main() {
         .int("fleet.evacuations.lo", fleet_totals.evac_lo)
         .int("fleet.evacuations.placed", fleet_totals.evac_placed)
         .int("fleet.evacuations.exhausted", fleet_totals.evac_exhausted)
+        .int("fleet.evacuations.cancelled", fleet_totals.evac_cancelled)
         .int("degradation.sheds", fleet_totals.sheds)
         .int("degradation.hi_sheds", fleet_totals.hi_sheds)
         .int("hi_shed_violations", fleet_totals.hi_shed_violations)

@@ -2,7 +2,7 @@
 //! (fresh checkpoint/demand vectors per call) against the incremental
 //! ones (SoA merge sweep + reusable [`AnalysisWorkspace`], the
 //! [`MinBudgetSolver`] floor table), the batched whole-checkpoint
-//! dbf/sbf passes against their scalar per-point loops, plus the
+//! dbf pass against its scalar per-point loop, plus the
 //! end-to-end serial uncached sweep those kernels drive.
 //!
 //! ```text
@@ -109,20 +109,6 @@ fn assert_vcpus_identical(fast: &VcpuSpec, reference: &VcpuSpec) {
     }
 }
 
-/// Asserts the batched supply pass matches the scalar `sbf` bit for
-/// bit over the given checkpoint stream before its timing is taken.
-fn resource_many_conformance(workload: &str, resource: &PeriodicResource, points: &[f64]) {
-    let mut batched = Vec::new();
-    resource.sbf_many(points, &mut batched);
-    for (&t, &b) in points.iter().zip(batched.iter()) {
-        assert_eq!(
-            b.to_bits(),
-            resource.sbf(t).to_bits(),
-            "sbf_many diverged from sbf at t={t} on {workload}",
-        );
-    }
-}
-
 /// A timed naive/incremental pair and its speedup on the fastest
 /// iteration — the deterministic kernels make min the noise-robust
 /// estimator (scheduler jitter only ever inflates a sample), matching
@@ -200,11 +186,11 @@ fn main() {
         );
         pairs.push((format!("can_schedule/{}", w.name), Pair { naive, incremental }));
 
-        // Batched checkpoint passes: the whole checkpoint vector in one
-        // task-major (dbf) / hoisted-blackout (sbf) sweep, against the
-        // historical one-scalar-call-per-point loop. The checkpoint
-        // stream is precomputed outside the timed region — both arms
-        // pay only for demand/supply evaluation.
+        // Batched checkpoint pass: the whole checkpoint vector in one
+        // task-major dbf sweep, against the historical
+        // one-scalar-call-per-point loop. The checkpoint stream is
+        // precomputed outside the timed region — both arms pay only
+        // for demand evaluation.
         let horizon = kernel::analysis_horizon(&demand, w.period);
         let points = demand.checkpoints(horizon, kernel::MAX_CHECKPOINTS);
         let mut batched = Vec::new();
@@ -229,20 +215,6 @@ fn main() {
             std::hint::black_box(scratch.last().copied())
         });
         pairs.push((format!("dbf_many/{}", w.name), Pair { naive, incremental }));
-
-        resource_many_conformance(w.name, &fits, &points);
-        let mut scratch = Vec::with_capacity(points.len());
-        let naive = timing::run(&format!("sbf per-point [{}]", w.name), iters, || {
-            scratch.clear();
-            scratch.extend(points.iter().map(|&t| fits.sbf(t)));
-            std::hint::black_box(scratch.last().copied())
-        });
-        let mut scratch = Vec::with_capacity(points.len());
-        let incremental = timing::run(&format!("sbf_many batched [{}]", w.name), iters, || {
-            fits.sbf_many(&points, &mut scratch);
-            std::hint::black_box(scratch.last().copied())
-        });
-        pairs.push((format!("sbf_many/{}", w.name), Pair { naive, incremental }));
     }
 
     // The repeated-probe call site the solver's floor table serves:
@@ -299,6 +271,10 @@ fn main() {
         .str("bench", "kernel_bench")
         .str("scale", if full_scale_requested() { "full" } else { "quick" })
         .int("iters", pairs[0].1.naive.iters())
+        .int(
+            "host_cpus",
+            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        )
         .bool("conformant", true)
         .num("speedup_geomean", headline)
         .raw(

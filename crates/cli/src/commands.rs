@@ -645,38 +645,26 @@ fn admit_fleet(
     }
     let fleet_config = FleetConfig::new(hosts, seed).with_engine(config);
     let items = fleet_items(trace, platform.resources());
-    let scenario = fault_seed.map(|fs| {
-        let spec = FleetFaultSpec::new(fault_count, items.len() as u64);
-        FleetScenario::new(
-            FleetFaultPlan::generate(fs, hosts, &spec),
-            trace.hi_vms().to_vec(),
-        )
-    });
-    let fleet = match scenario {
-        Some(scenario) if threads > 1 => AdmissionFleet::replay_parallel_armed(
-            platform,
-            fleet_config,
-            scenario,
-            &items,
-            threads,
-        )
-        .map_err(|e| CliError::new(format!("fault scenario rejected: {e}")))?,
-        Some(scenario) => {
-            let mut fleet = AdmissionFleet::new(platform, fleet_config);
-            fleet
-                .arm(scenario)
-                .map_err(|e| CliError::new(format!("fault scenario rejected: {e}")))?;
-            fleet.replay(&items);
-            fleet
-        }
-        None if threads > 1 => {
-            AdmissionFleet::replay_parallel(platform, fleet_config, &items, threads)
-        }
-        None => {
-            let mut fleet = AdmissionFleet::new(platform, fleet_config);
-            fleet.replay(&items);
-            fleet
-        }
+    // Arming the default (fault-free, all-LO) scenario on a fresh
+    // fleet changes nothing, so one path serves both cases.
+    let scenario = fault_seed
+        .map(|fs| {
+            let spec = FleetFaultSpec::new(fault_count, items.len() as u64);
+            FleetScenario::new(
+                FleetFaultPlan::generate(fs, hosts, &spec),
+                trace.hi_vms().to_vec(),
+            )
+        })
+        .unwrap_or_default();
+    let rejected = |e| CliError::new(format!("fault scenario rejected: {e}"));
+    let fleet = if threads > 1 {
+        AdmissionFleet::replay_parallel_armed(platform, fleet_config, scenario, &items, threads)
+            .map_err(rejected)?
+    } else {
+        let mut fleet = AdmissionFleet::new(platform, fleet_config);
+        fleet.arm(scenario).map_err(rejected)?;
+        fleet.replay(&items);
+        fleet
     };
     let stats = fleet.aggregate_stats();
     let routing = *fleet.router().stats();
@@ -723,13 +711,15 @@ fn admit_fleet(
         .map_err(io_error)?;
         writeln!(
             out,
-            "evacuations: {} VMs ({} hi, {} lo): {} placed, {} deferred, {} exhausted",
+            "evacuations: {} VMs ({} hi, {} lo): {} placed, {} deferred, {} exhausted, \
+             {} cancelled",
             routing.evacuated_vms,
             routing.evac_hi,
             routing.evac_lo,
             routing.evac_placed,
             routing.evac_deferred,
             routing.evac_exhausted,
+            routing.evac_cancelled,
         )
         .map_err(io_error)?;
         for failure in fleet.evacuation_failures() {

@@ -47,9 +47,7 @@
 //! whole workload.
 
 use vc2m_alloc::recovery::{recover_engine, DecisionJournal, RecoveryError};
-use vc2m_alloc::{
-    AdmissionConfig, AdmissionEngine, AdmissionFleet, AdmissionRequest, Criticality, FleetWorkItem,
-};
+use vc2m_alloc::{AdmissionConfig, AdmissionEngine, AdmissionRequest, Criticality, FleetWorkItem};
 use vc2m_model::Platform;
 use vc2m_model::{ResourceSpace, Task, TaskId, TaskSet, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng};
@@ -646,8 +644,11 @@ pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) {
 }
 
 /// Materializes a whole trace into fleet work items (the
-/// pre-materialized form both [`replay_fleet`] and
+/// pre-materialized form [`AdmissionFleet::replay`] and
 /// [`AdmissionFleet::replay_parallel`] consume).
+///
+/// [`AdmissionFleet::replay`]: vc2m_alloc::AdmissionFleet::replay
+/// [`AdmissionFleet::replay_parallel`]: vc2m_alloc::AdmissionFleet::replay_parallel
 pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWorkItem> {
     trace
         .items()
@@ -661,39 +662,30 @@ pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWor
         .collect()
 }
 
-/// Replays `trace` serially into `fleet` (appending to its merged
-/// decision log).
-pub fn replay_fleet(fleet: &mut AdmissionFleet, trace: &AdmissionTrace) {
-    let space = fleet.platform().resources();
-    let items = fleet_items(trace, space);
-    fleet.replay(&items);
-}
-
 /// Replays `trace` into `engine` exactly like [`replay`], additionally
-/// appending one write-ahead [`DecisionJournal`] record per decision:
-/// the request's canonical trace line paired with the engine's
+/// returning one write-ahead [`DecisionJournal`] record per trace
+/// item: the request's canonical trace line paired with the engine's
 /// byte-stable decision line (batch records keep requests in
 /// submission order and decisions in the engine's canonical order).
 /// Persisting the rendered journal lets [`recover`] reconstruct a
 /// bit-identical replacement engine after a crash.
 pub fn replay_journaled(engine: &mut AdmissionEngine, trace: &AdmissionTrace) -> DecisionJournal {
-    let space = engine.platform().resources();
+    let first = engine.decisions().len();
+    replay(engine, trace);
+    // Every request yields exactly one decision, so the appended log
+    // splits item by item: one line per single, n per n-member batch.
+    let mut lines = engine.decisions()[first..].iter().map(|d| d.log_line());
     let mut journal = DecisionJournal::new();
     for item in trace.items() {
         match item {
             TraceItem::Single(request) => {
-                let decision = engine.submit(materialize(request, space));
-                journal.append_single(request.render(), decision.log_line());
+                let decision = lines.next().expect("a single yields one decision");
+                journal.append_single(request.render(), decision);
             }
-            TraceItem::Batch(requests) => {
-                let lines: Vec<String> = requests.iter().map(|r| r.render()).collect();
-                let decisions = engine
-                    .submit_batch(requests.iter().map(|r| materialize(r, space)).collect())
-                    .iter()
-                    .map(|d| d.log_line())
-                    .collect();
-                journal.append_batch(lines, decisions);
-            }
+            TraceItem::Batch(requests) => journal.append_batch(
+                requests.iter().map(|r| r.render()).collect(),
+                lines.by_ref().take(requests.len()).collect(),
+            ),
         }
     }
     journal
@@ -721,7 +713,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_alloc::{AdmissionConfig, FleetConfig};
+    use vc2m_alloc::{AdmissionConfig, AdmissionFleet, FleetConfig};
     use vc2m_model::Platform;
 
     #[test]
@@ -856,7 +848,7 @@ mod tests {
         let mut engine = AdmissionEngine::new(platform, AdmissionConfig::new(42));
         replay(&mut engine, &trace);
         let mut fleet = AdmissionFleet::new(platform, FleetConfig::new(1, 42));
-        replay_fleet(&mut fleet, &trace);
+        fleet.replay(&fleet_items(&trace, platform.resources()));
         assert_eq!(fleet.log_text(), engine.log_text());
         assert_eq!(&fleet.aggregate_stats(), engine.stats());
     }

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionTrace, TraceItem, TraceRequest, TraceSpec};
     pub use crate::sweep::{utilization_steps, SweepConfig, SweepResults};
     pub use vc2m_alloc::{
-        allocate_with_degradation, allocate_with_degradation_prioritized, AdmissionConfig,
+        allocate_with_degradation, AdmissionConfig,
         AdmissionDecision, AdmissionEngine, AdmissionFleet, AdmissionPath, AdmissionRequest,
         AdmissionStats, AdmissionVerdict, AllocationOutcome, Criticality, DecisionJournal,
         DegradationOutcome, DegradationPolicy, DegradationReport, EvacuationExhausted,

@@ -79,39 +79,6 @@ impl PeriodicResource {
         supplied + partial.min(self.budget)
     }
 
-    /// Evaluates [`sbf`](Self::sbf) at every point of `points` in one
-    /// batched pass, writing into `out` (cleared first; capacity is
-    /// reused across calls).
-    ///
-    /// **Bit-identical** per point to the scalar `sbf`: the blackout
-    /// `Π − Θ` is hoisted out of the loop (it depends only on the
-    /// resource — the same hoist `probe_active` performs), and every
-    /// remaining expression is evaluated exactly as the scalar version
-    /// writes it. A checkpoint stream's supply values can therefore be
-    /// materialized in one cache-friendly sweep without re-deriving
-    /// the resource constants per point.
-    pub fn sbf_many(&self, points: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(points.len());
-        let blackout = self.period - self.budget;
-        if self.budget == 0.0 {
-            out.resize(points.len(), 0.0);
-            return;
-        }
-        for &t in points {
-            let supply = if t <= blackout {
-                0.0
-            } else {
-                let t_eff = t - blackout;
-                let k = (t_eff / self.period + 1e-12).floor();
-                let supplied = k * self.budget;
-                let partial = (t_eff - k * self.period - blackout).max(0.0);
-                supplied + partial.min(self.budget)
-            };
-            out.push(supply);
-        }
-    }
-
     /// The linear lower bound on the supply:
     /// `lsbf(t) = (Θ/Π)·(t − 2(Π − Θ))`, clamped at zero. Useful for
     /// quick infeasibility screening.
@@ -522,28 +489,6 @@ mod tests {
             assert!(v <= t + 1e-9, "sbf(t) must not exceed t");
             prev = v;
         }
-    }
-
-    #[test]
-    fn sbf_many_matches_per_point_sbf_bitwise() {
-        let mut out = Vec::new();
-        for (period, budget) in [(10.0, 4.0), (7.0, 7.0), (5.0, 0.0), (9.0, 0.001)] {
-            let r = PeriodicResource::new(period, budget);
-            let points: Vec<f64> = (0..300).map(|i| i as f64 * 0.17).collect();
-            r.sbf_many(&points, &mut out);
-            assert_eq!(out.len(), points.len());
-            for (&t, &batched) in points.iter().zip(&out) {
-                assert_eq!(
-                    batched.to_bits(),
-                    r.sbf(t).to_bits(),
-                    "sbf_many diverged at t={t} for ({period}, {budget})"
-                );
-            }
-        }
-        // Cleared, not appended, across calls.
-        let r = PeriodicResource::new(10.0, 4.0);
-        r.sbf_many(&[13.0], &mut out);
-        assert_eq!(out, vec![1.0]);
     }
 
     #[test]

@@ -205,36 +205,6 @@ fn batched_dbf_matches_per_point_reference_bitwise() {
 }
 
 #[test]
-fn batched_sbf_matches_per_point_reference_bitwise() {
-    // Same checkpoint streams, this time through the supply side:
-    // the hoisted-blackout batched pass against the scalar `sbf`,
-    // including zero-budget and full-budget resources.
-    let out = std::cell::RefCell::new(Vec::new());
-    check(192, |rng| {
-        let demand = arb_any_demand(rng);
-        let period = rng.gen_range(0.5f64..20.0);
-        let budget = match rng.gen_range(0u32..8) {
-            0 => 0.0,
-            1 => period,
-            _ => rng.gen_range(0.0f64..=1.0) * period,
-        };
-        let resource = PeriodicResource::new(period, budget);
-        let horizon = analysis_horizon(&demand, period);
-        let points = demand.checkpoints(horizon, 512);
-        let mut out = out.borrow_mut();
-        resource.sbf_many(&points, &mut out);
-        assert_eq!(out.len(), points.len());
-        for (&t, &batched) in points.iter().zip(out.iter()) {
-            assert_eq!(
-                batched.to_bits(),
-                resource.sbf(t).to_bits(),
-                "sbf_many diverged at t={t} against {resource:?}",
-            );
-        }
-    });
-}
-
-#[test]
 fn streaming_demand_equals_naive_dbf_at_every_checkpoint() {
     check(128, |rng| {
         let demand = arb_any_demand(rng);
