@@ -19,15 +19,28 @@
 //!   cores to the schedulable core that will have the smallest
 //!   utilization after the migration; then Phase 2 re-runs.
 //!
+//! Within one `m`, the rest of a permutation's trajectory (Phase 2 on
+//! its assignment, Phase 3, the next rounds) depends only on the
+//! assignment it has reached, keyed by the member order on every core,
+//! and draws no randomness. A success returns at once, so an assignment
+//! Phase 2 already evaluated in this `m` at a round no later than the
+//! current one heads a trajectory that has run and failed: the search
+//! moves to the next permutation instead of repeating it. A visit only
+//! at a later round proves nothing, since that trajectory hit the round
+//! cap sooner. Every k-means call and every shuffle is still drawn, so
+//! the RNG stream and every outcome are those of the unpruned search.
+//!
 //! The baseline discipline ([`evenly_partitioned`]) splits cache and
 //! bandwidth evenly over all cores and packs VCPUs best-fit decreasing.
+
+use std::collections::HashMap;
 
 use crate::kmeans::kmeans;
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
-use vc2m_rng::Rng;
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
 use vc2m_model::{Alloc, Platform, ResourceSpace, VcpuSpec};
+use vc2m_rng::Rng;
 
 /// Tuning knobs of the three-phase heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +72,22 @@ pub fn heuristic<R: Rng>(
     config: HeuristicConfig,
     rng: &mut R,
 ) -> AllocationOutcome {
+    search(vcpus, platform, config, rng).0
+}
+
+/// The search behind [`heuristic`]; also returns how many Phase-2
+/// evaluations it ran.
+fn search<R: Rng>(
+    vcpus: Vec<VcpuSpec>,
+    platform: &Platform,
+    config: HeuristicConfig,
+    rng: &mut R,
+) -> (AllocationOutcome, usize) {
     if vcpus.is_empty() {
-        return AllocationOutcome::schedulable(SystemAllocation::new(vcpus, Vec::new()));
+        return (
+            AllocationOutcome::schedulable(SystemAllocation::new(vcpus, Vec::new())),
+            0,
+        );
     }
     let space = platform.resources();
     let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
@@ -70,12 +97,14 @@ pub fn heuristic<R: Rng>(
         vc2m_model::Surface::batch_slowdown_rows(vcpus.iter().map(|v| v.budget_surface()));
     let feature_refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
 
+    let mut evaluations = 0;
     for m in 1..=platform.max_usable_cores() {
         // Necessary condition: even with all resources, total
         // utilization cannot exceed m.
         if reference_total > m as f64 + UTILIZATION_EPS {
             continue;
         }
+        let mut evaluated = Evaluated::default();
         let k = m.min(vcpus.len());
         let clusters = kmeans(&feature_refs, k, rng).members();
 
@@ -84,12 +113,16 @@ pub fn heuristic<R: Rng>(
             rng.shuffle(&mut order);
             let mut assignment = pack_by_clusters(&vcpus, &clusters, &order, m);
 
-            for _ in 0..config.max_balance_rounds {
+            for round in 0..config.max_balance_rounds {
+                if !evaluated.first_at(&assignment, round) {
+                    break; // this trajectory has already failed
+                }
+                evaluations += 1;
                 let (allocs, schedulable) = allocate_resources(&vcpus, &assignment, platform, m);
                 if schedulable {
                     let allocation = build(&vcpus, assignment, allocs);
                     debug_assert!(allocation.verify(platform).is_ok());
-                    return AllocationOutcome::schedulable(allocation);
+                    return (AllocationOutcome::schedulable(allocation), evaluations);
                 }
                 if !balance_load(&vcpus, &mut assignment, &allocs) {
                     break; // no benefit in balancing: new permutation
@@ -97,7 +130,35 @@ pub fn heuristic<R: Rng>(
             }
         }
     }
-    AllocationOutcome::unschedulable()
+    (AllocationOutcome::unschedulable(), evaluations)
+}
+
+/// The assignments Phase 2 has evaluated at one core count, keyed by
+/// the exact member order on every core (Phase 2's sums follow it), each
+/// with the earliest balance round it was evaluated at.
+#[derive(Default)]
+struct Evaluated(HashMap<Vec<Vec<usize>>, usize>);
+
+impl Evaluated {
+    /// Records an evaluation of `assignment` at balance round `round`,
+    /// or returns false if it was evaluated at a round no later. The
+    /// rest of a trajectory depends only on its assignment, and it runs
+    /// until the round cap: the earlier trajectory has evaluated every
+    /// state this one would reach, and all of them failed. A visit only
+    /// at a later round stopped sooner, so it proves nothing.
+    fn first_at(&mut self, assignment: &[Vec<usize>], round: usize) -> bool {
+        match self.0.get_mut(assignment) {
+            Some(first) if *first <= round => false,
+            Some(first) => {
+                *first = round;
+                true
+            }
+            None => {
+                self.0.insert(assignment.to_vec(), round);
+                true
+            }
+        }
+    }
 }
 
 /// Phase 1: packs clusters (in `order`) onto `m` cores, worst-fit in
@@ -346,8 +407,8 @@ pub fn evenly_partitioned(vcpus: Vec<VcpuSpec>, platform: &Platform) -> Allocati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_rng::DetRng;
     use vc2m_model::{BudgetSurface, ResourceSpace, TaskId, VcpuId, VmId};
+    use vc2m_rng::{cases::check, DetRng};
 
     fn space() -> ResourceSpace {
         Platform::platform_a().resources()
@@ -375,6 +436,146 @@ mod tests {
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(2024)
+    }
+
+    /// The search as it was before pruning: every permutation runs
+    /// every balance round. Returns the outcome and its Phase-2
+    /// evaluations.
+    fn unpruned_search(
+        vcpus: Vec<VcpuSpec>,
+        platform: &Platform,
+        config: HeuristicConfig,
+        rng: &mut DetRng,
+    ) -> (AllocationOutcome, usize) {
+        if vcpus.is_empty() {
+            return (
+                AllocationOutcome::schedulable(SystemAllocation::new(vcpus, Vec::new())),
+                0,
+            );
+        }
+        let space = platform.resources();
+        let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
+        let features: Vec<Vec<f64>> =
+            vc2m_model::Surface::batch_slowdown_rows(vcpus.iter().map(|v| v.budget_surface()));
+        let feature_refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
+        let mut evaluations = 0;
+        for m in 1..=platform.max_usable_cores() {
+            if reference_total > m as f64 + UTILIZATION_EPS {
+                continue;
+            }
+            let k = m.min(vcpus.len());
+            let clusters = kmeans(&feature_refs, k, rng).members();
+            for _ in 0..config.max_permutations {
+                let mut order: Vec<usize> = (0..clusters.len()).collect();
+                rng.shuffle(&mut order);
+                let mut assignment = pack_by_clusters(&vcpus, &clusters, &order, m);
+                for _ in 0..config.max_balance_rounds {
+                    evaluations += 1;
+                    let (allocs, schedulable) =
+                        allocate_resources(&vcpus, &assignment, platform, m);
+                    if schedulable {
+                        let allocation = build(&vcpus, assignment, allocs);
+                        return (AllocationOutcome::schedulable(allocation), evaluations);
+                    }
+                    if !balance_load(&vcpus, &mut assignment, &allocs) {
+                        break;
+                    }
+                }
+            }
+        }
+        (AllocationOutcome::unschedulable(), evaluations)
+    }
+
+    /// A random VCPU whose budget falls as its core gets more cache and
+    /// more bandwidth, at reference utilization `u`.
+    fn random_vcpu(id: usize, u: f64, rng: &mut DetRng) -> VcpuSpec {
+        let period = 5.0 + 15.0 * rng.gen_f64();
+        let (cache_gain, bw_gain) = (0.8 * rng.gen_f64(), 0.8 * rng.gen_f64());
+        let surface = BudgetSurface::from_fn(&space(), |a| {
+            period
+                * u
+                * (1.0
+                    + cache_gain * (20.0 - f64::from(a.cache)) / 18.0
+                    + bw_gain * (20.0 - f64::from(a.bandwidth)) / 19.0)
+        })
+        .unwrap();
+        VcpuSpec::new(VcpuId(id), VmId(0), period, surface, vec![TaskId(id)]).unwrap()
+    }
+
+    #[test]
+    fn pruning_search_equals_the_unpruned_oracle() {
+        let platform = Platform::platform_a();
+        let reference = platform.resources().reference();
+        check(64, |rng| {
+            // 1–9 VCPUs, some of them copies (identical features), with a
+            // total reference utilization of 0.3–4.2: the first core
+            // count tried ranges over 1–4, and k! < 10 at k ≤ 3.
+            let n = rng.gen_range(1..10usize);
+            let total = 0.3 + 3.9 * rng.gen_f64();
+            let mut vcpus: Vec<VcpuSpec> = Vec::with_capacity(n);
+            for i in 0..n {
+                let u = total / n as f64 * (0.5 + rng.gen_f64());
+                let vcpu = if i > 0 && rng.gen_range(0..4usize) == 0 {
+                    let last = &vcpus[i - 1];
+                    let surface = last.budget_surface().clone();
+                    VcpuSpec::new(VcpuId(i), VmId(0), last.period(), surface, vec![TaskId(i)])
+                        .unwrap()
+                } else {
+                    random_vcpu(i, u, rng)
+                };
+                vcpus.push(vcpu);
+            }
+            let config = HeuristicConfig {
+                max_permutations: rng.gen_range(1..13usize),
+                max_balance_rounds: rng.gen_range(1..7usize),
+            };
+            let seed = rng.next_u64();
+            let (mut fast, mut oracle) = (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
+            let (outcome, evaluations) = search(vcpus.clone(), &platform, config, &mut fast);
+            let (expected, oracle_evaluations) =
+                unpruned_search(vcpus.clone(), &platform, config, &mut oracle);
+            assert_eq!(outcome, expected, "{config:?}");
+            assert_eq!(
+                fast.next_u64(),
+                oracle.next_u64(),
+                "RNG draws differ, {config:?}"
+            );
+            assert!(evaluations <= oracle_evaluations);
+            // A failed search whose first core count has fewer cluster
+            // orders than permutations must repeat an order, and the
+            // repeat is pruned.
+            let reference_total: f64 = vcpus.iter().map(|v| v.utilization(reference)).sum();
+            let first_m = (1..=platform.max_usable_cores())
+                .find(|&m| reference_total <= m as f64 + UTILIZATION_EPS);
+            if let (false, Some(m)) = (expected.is_schedulable(), first_m) {
+                let orders: usize = (1..=m.min(n)).product();
+                if orders < config.max_permutations {
+                    assert!(
+                        evaluations < oracle_evaluations,
+                        "{evaluations} of {oracle_evaluations} evaluations, {config:?}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// The random suite above never meets an assignment first at a later
+    /// round and then at an earlier one (nor do the churn traces), so
+    /// this pins that case of the rule directly.
+    #[test]
+    fn pruning_needs_an_evaluation_at_a_round_no_later() {
+        let mut evaluated = Evaluated::default();
+        let a = vec![vec![0, 1], vec![2]];
+        assert!(evaluated.first_at(&a, 3));
+        assert!(!evaluated.first_at(&a, 3));
+        // Seen only at a later round: that trajectory stopped sooner.
+        assert!(evaluated.first_at(&a, 1));
+        assert!(!evaluated.first_at(&a, 2));
+        assert!(!evaluated.first_at(&a, 1));
+        assert!(evaluated.first_at(&a, 0));
+        // Member order is part of the key.
+        assert!(evaluated.first_at(&[vec![1, 0], vec![2]], 3));
+        assert!(evaluated.first_at(&[vec![0, 1, 2], vec![]], 3));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! The implementation is deterministic for a given seed: k-means++
 //! initialization drives all randomness through the caller's RNG, and
 //! Lloyd iterations run to convergence or a fixed cap.
+//!
+//! The seeding computes every point's distance to each seed, and Lloyd
+//! pass 1 reads those columns instead of recomputing them; they are the
+//! same sums in the same order, so the same bits. A pass that changes
+//! no assignment and leaves no cluster empty returns at once: the
+//! centroid update would refill nothing, and its centroids would never
+//! be read.
 
 use vc2m_rng::Rng;
 
@@ -79,58 +86,33 @@ pub fn kmeans<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Clustering {
     );
     let k = k.min(points.len());
 
-    let mut centroids = init_plus_plus(points, k, rng);
+    let (mut centroids, seed_distances) = init_plus_plus(points, k, rng);
     let mut assignment = vec![0usize; points.len()];
-    for _ in 0..MAX_ITERATIONS {
+    let mut counts = vec![0usize; k];
+    for pass in 0..MAX_ITERATIONS {
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
-            let nearest = nearest_centroid(p, &centroids);
+            // Pass 1 reads the distances the seeding already computed.
+            let nearest = if pass == 0 {
+                nearest_seed(&seed_distances, i)
+            } else {
+                nearest_centroid(p, &centroids)
+            };
             if assignment[i] != nearest {
                 assignment[i] = nearest;
                 changed = true;
             }
         }
-        // Recompute centroids; refill an empty cluster by stealing the
-        // point farthest from its centroid — but only when that point
-        // is at a strictly positive distance and leaves at least one
-        // point behind. (With identical points there is nothing
-        // meaningful to split; empty clusters are then left empty and
-        // callers skip them.)
-        let mut sums = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
-        for (i, p) in points.iter().enumerate() {
-            counts[assignment[i]] += 1;
-            for (s, v) in sums[assignment[i]].iter_mut().zip(*p) {
-                *s += v;
-            }
+        counts.fill(0);
+        for &c in &assignment {
+            counts[c] += 1;
         }
-        for c in 0..k {
-            if counts[c] == 0 {
-                let candidate = points
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| counts[assignment[*i]] >= 2)
-                    .map(|(i, p)| (i, distance_sq(p, &centroids[assignment[i]])))
-                    .max_by(|(i, a), (j, b)| {
-                        a.partial_cmp(b)
-                            .expect("distances are finite")
-                            .then(i.cmp(j))
-                    });
-                if let Some((far, dist)) = candidate {
-                    if dist > 0.0 {
-                        counts[assignment[far]] -= 1;
-                        assignment[far] = c;
-                        counts[c] = 1;
-                        centroids[c] = points[far].to_vec();
-                        changed = true;
-                    }
-                }
-            } else {
-                for (d, s) in centroids[c].iter_mut().zip(&sums[c]) {
-                    *d = s / counts[c] as f64;
-                }
-            }
+        // Converged with no cluster empty: the update below would
+        // refill nothing, and its centroids would never be read.
+        if !changed && counts.iter().all(|&n| n > 0) {
+            break;
         }
+        changed |= update_centroids(points, &mut assignment, &mut centroids, &mut counts);
         if !changed {
             break;
         }
@@ -138,17 +120,101 @@ pub fn kmeans<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Clustering {
     Clustering { assignment, k }
 }
 
-fn init_plus_plus<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Vec<Vec<f64>> {
+/// Moves each cluster's centroid to the mean of its members, in
+/// cluster order, given the member `counts` of `assignment`.
+///
+/// An empty cluster is refilled by stealing the point farthest from
+/// its centroid — but only when that point is at a strictly positive
+/// distance and leaves at least one point behind. (With identical
+/// points there is nothing meaningful to split; empty clusters are then
+/// left empty and callers skip them.) The donor's mean loses the stolen
+/// point, so afterwards every non-empty cluster's centroid is the mean
+/// of its members. Returns whether a point was stolen.
+fn update_centroids(
+    points: &[&[f64]],
+    assignment: &mut [usize],
+    centroids: &mut [Vec<f64>],
+    counts: &mut [usize],
+) -> bool {
+    let mut stole = false;
+    for c in 0..counts.len() {
+        if counts[c] > 0 {
+            set_mean(points, assignment, c, counts[c], &mut centroids[c]);
+            continue;
+        }
+        let candidate = points
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| counts[assignment[*i]] >= 2)
+            .map(|(i, p)| (i, distance_sq(p, &centroids[assignment[i]])))
+            .max_by(|(i, a), (j, b)| {
+                a.partial_cmp(b)
+                    .expect("distances are finite")
+                    .then(i.cmp(j))
+            });
+        if let Some((far, dist)) = candidate {
+            if dist > 0.0 {
+                let donor = assignment[far];
+                counts[donor] -= 1;
+                assignment[far] = c;
+                counts[c] = 1;
+                centroids[c].copy_from_slice(points[far]);
+                // A later donor's mean is taken at its own turn.
+                if donor < c {
+                    set_mean(
+                        points,
+                        assignment,
+                        donor,
+                        counts[donor],
+                        &mut centroids[donor],
+                    );
+                }
+                stole = true;
+            }
+        }
+    }
+    stole
+}
+
+/// Sets `centroid` to the mean of the `count` points that `assignment`
+/// puts in cluster `c`, summed in point order.
+fn set_mean(points: &[&[f64]], assignment: &[usize], c: usize, count: usize, centroid: &mut [f64]) {
+    centroid.fill(0.0);
+    for (p, _) in points.iter().zip(assignment).filter(|(_, &a)| a == c) {
+        for (s, v) in centroid.iter_mut().zip(*p) {
+            *s += v;
+        }
+    }
+    for s in centroid.iter_mut() {
+        *s /= count as f64;
+    }
+}
+
+/// k-means++ seeding. Returns the `k` seeds and, for each seed `j`,
+/// the column `distance_sq(points[i], seeds[j])` over every point `i`:
+/// the weights need all but the last column, and Lloyd pass 1 reads
+/// them all instead of recomputing them.
+fn init_plus_plus<R: Rng>(
+    points: &[&[f64]],
+    k: usize,
+    rng: &mut R,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
+    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(k);
     centroids.push(points[rng.gen_range(0..points.len())].to_vec());
     // Each point's squared distance to its nearest centroid so far: a
     // running minimum, extended by the newest centroid each round,
     // folds the distances in centroid order like a full recomputation.
     let mut weights = vec![f64::INFINITY; points.len()];
-    while centroids.len() < k {
+    loop {
         let newest = centroids.last().expect("one centroid chosen");
-        for (w, p) in weights.iter_mut().zip(points) {
-            *w = w.min(distance_sq(p, newest));
+        columns.push(points.iter().map(|p| distance_sq(p, newest)).collect());
+        if centroids.len() == k {
+            return (centroids, columns);
+        }
+        let column = columns.last().expect("column just pushed");
+        for (w, d) in weights.iter_mut().zip(column) {
+            *w = w.min(*d);
         }
         let total: f64 = weights.iter().sum();
         let chosen = if total <= 0.0 {
@@ -167,7 +233,21 @@ fn init_plus_plus<R: Rng>(points: &[&[f64]], k: usize, rng: &mut R) -> Vec<Vec<f
         };
         centroids.push(points[chosen].to_vec());
     }
-    centroids
+}
+
+/// Index of the seed nearest to point `i`, read from the seeding's
+/// distance columns; the lowest index on a tie, like
+/// [`nearest_centroid`].
+fn nearest_seed(columns: &[Vec<f64>], i: usize) -> usize {
+    let mut best = 0;
+    let mut best_d = f64::INFINITY;
+    for (j, column) in columns.iter().enumerate() {
+        if column[i] < best_d {
+            best_d = column[i];
+            best = j;
+        }
+    }
+    best
 }
 
 /// Index of the centroid nearest to `p`, the lowest index on a tie.
@@ -229,7 +309,7 @@ fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_rng::{DetRng, Rng};
+    use vc2m_rng::{cases::check, DetRng, Rng};
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(17)
@@ -262,6 +342,228 @@ mod tests {
                     .map(|(i, c)| (i, distance_sq(p, c).to_bits()))
                     .collect();
                 assert_eq!(seen, expected, "k={k} dim={dim}");
+            }
+        }
+    }
+
+    /// Random points with duplicates: every point is drawn from a pool
+    /// of `1..=n` distinct features, so some inputs have fewer distinct
+    /// points than clusters.
+    fn points_with_duplicates(rng: &mut DetRng) -> (Vec<Vec<f64>>, usize) {
+        let n = rng.gen_range(1..25usize);
+        let dim = [0, 1, 3, 7, 19, 381][rng.gen_range(0..6usize)];
+        let pool = features(rng.gen_range(1..=n), dim, rng);
+        let points = (0..n)
+            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+            .collect();
+        (points, rng.gen_range(1..10usize))
+    }
+
+    /// k-means as it was before pass 1 reused the seeding's distances,
+    /// converged passes returned early and the buffers were hoisted:
+    /// every pass recomputes every distance and every centroid. Its one
+    /// change is the refill's donor fix (marked below), which
+    /// [`refill_leaves_every_centroid_the_mean_of_its_members`] pins.
+    fn reference_kmeans(points: &[&[f64]], k: usize, rng: &mut DetRng) -> Clustering {
+        if points.is_empty() {
+            return Clustering {
+                assignment: Vec::new(),
+                k: 0,
+            };
+        }
+        let dim = points[0].len();
+        let k = k.min(points.len());
+        let mut centroids: Vec<Vec<f64>> = vec![points[rng.gen_range(0..points.len())].to_vec()];
+        while centroids.len() < k {
+            let weights: Vec<f64> = points
+                .iter()
+                .map(|p| {
+                    centroids
+                        .iter()
+                        .map(|c| distance_sq(p, c))
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let chosen = if total <= 0.0 {
+                rng.gen_range(0..points.len())
+            } else {
+                let mut target = rng.gen_f64() * total;
+                let mut chosen = points.len() - 1;
+                for (i, w) in weights.iter().enumerate() {
+                    if target < *w {
+                        chosen = i;
+                        break;
+                    }
+                    target -= w;
+                }
+                chosen
+            };
+            centroids.push(points[chosen].to_vec());
+        }
+        let mut assignment = vec![0usize; points.len()];
+        for _ in 0..MAX_ITERATIONS {
+            let mut changed = false;
+            for (i, p) in points.iter().enumerate() {
+                let nearest = nearest_centroid(p, &centroids);
+                if assignment[i] != nearest {
+                    assignment[i] = nearest;
+                    changed = true;
+                }
+            }
+            let mut sums = vec![vec![0.0; dim]; k];
+            let mut counts = vec![0usize; k];
+            for (i, p) in points.iter().enumerate() {
+                counts[assignment[i]] += 1;
+                for (s, v) in sums[assignment[i]].iter_mut().zip(*p) {
+                    *s += v;
+                }
+            }
+            for c in 0..k {
+                if counts[c] == 0 {
+                    let candidate = points
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| counts[assignment[*i]] >= 2)
+                        .map(|(i, p)| (i, distance_sq(p, &centroids[assignment[i]])))
+                        .max_by(|(i, a), (j, b)| a.partial_cmp(b).unwrap().then(i.cmp(j)));
+                    if let Some((far, dist)) = candidate {
+                        if dist > 0.0 {
+                            let donor = assignment[far];
+                            counts[donor] -= 1;
+                            assignment[far] = c;
+                            counts[c] = 1;
+                            centroids[c] = points[far].to_vec();
+                            changed = true;
+                            // The donor fix: the donor's sum loses the
+                            // stolen point, and an already-updated
+                            // donor's centroid is taken again.
+                            sums[donor] = vec![0.0; dim];
+                            for (i, p) in points.iter().enumerate() {
+                                if assignment[i] == donor {
+                                    for (s, v) in sums[donor].iter_mut().zip(*p) {
+                                        *s += v;
+                                    }
+                                }
+                            }
+                            if donor < c {
+                                for (d, s) in centroids[donor].iter_mut().zip(&sums[donor]) {
+                                    *d = s / counts[donor] as f64;
+                                }
+                            }
+                        }
+                    }
+                } else {
+                    for (d, s) in centroids[c].iter_mut().zip(&sums[c]) {
+                        *d = s / counts[c] as f64;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Clustering { assignment, k }
+    }
+
+    #[test]
+    fn conformance_seed_columns_equal_nearest_centroid_bit_for_bit() {
+        check(200, |rng| {
+            let (raw, k) = points_with_duplicates(rng);
+            let points: Vec<&[f64]> = raw.iter().map(|v| v.as_slice()).collect();
+            let k = k.min(points.len());
+            let (seeds, columns) = init_plus_plus(&points, k, rng);
+            assert_eq!((seeds.len(), columns.len()), (k, k));
+            for (i, p) in points.iter().enumerate() {
+                for_each_distance_sq(p, &seeds, |j, d| {
+                    assert_eq!(columns[j][i].to_bits(), d.to_bits(), "point {i} seed {j}");
+                });
+                assert_eq!(
+                    nearest_seed(&columns, i),
+                    nearest_centroid(p, &seeds),
+                    "point {i}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn conformance_kmeans_equals_the_reference_loop() {
+        check(200, |rng| {
+            let (raw, k) = points_with_duplicates(rng);
+            let points: Vec<&[f64]> = raw.iter().map(|v| v.as_slice()).collect();
+            let seed = rng.next_u64();
+            let (mut fast, mut reference) =
+                (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
+            assert_eq!(
+                kmeans(&points, k, &mut fast),
+                reference_kmeans(&points, k, &mut reference)
+            );
+            assert_eq!(fast.next_u64(), reference.next_u64(), "RNG draws differ");
+        });
+    }
+
+    #[test]
+    fn conformance_emptied_clusters_fall_through_the_early_return() {
+        // Identical points: pass 1 changes nothing yet leaves clusters 1
+        // and 2 empty, so it must reach the refill, which finds nothing
+        // to split. {a, a, a, b} with k = 3 seeds a twice, and the
+        // refill steals an `a`.
+        let a = vec![0.1, 0.7, 0.3];
+        let b = vec![5.0, 1.0, 2.0];
+        for raw in [vec![a.clone(); 8], vec![a.clone(), a.clone(), a, b]] {
+            let points: Vec<&[f64]> = raw.iter().map(|v| v.as_slice()).collect();
+            for seed in 0..16 {
+                let (mut fast, mut reference) =
+                    (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
+                assert_eq!(
+                    kmeans(&points, 3, &mut fast),
+                    reference_kmeans(&points, 3, &mut reference)
+                );
+                assert_eq!(fast.next_u64(), reference.next_u64(), "RNG draws differ");
+            }
+        }
+    }
+
+    #[test]
+    fn refill_leaves_every_centroid_the_mean_of_its_members() {
+        let raw: Vec<Vec<f64>> = vec![vec![0.0, 1.0], vec![1.0, 3.0], vec![10.0, 7.0]];
+        let points: Vec<&[f64]> = raw.iter().map(|v| v.as_slice()).collect();
+        let mean = |assignment: &[usize], c: usize| -> Vec<u64> {
+            let members: Vec<&[f64]> = points
+                .iter()
+                .zip(assignment)
+                .filter(|(_, &a)| a == c)
+                .map(|(p, _)| *p)
+                .collect();
+            (0..2)
+                .map(|d| {
+                    (members.iter().map(|p| p[d]).fold(0.0, |s, v| s + v) / members.len() as f64)
+                        .to_bits()
+                })
+                .collect()
+        };
+        // Cluster 0 is empty and steals point 0 from cluster 1 (a
+        // later donor); then cluster 2 steals from cluster 0 (an
+        // earlier donor, whose mean was already taken).
+        for (before, after) in [([1, 1, 2], [0, 1, 2]), ([0, 0, 1], [0, 2, 1])] {
+            let mut assignment = before.to_vec();
+            let mut counts = vec![0usize; 3];
+            for &c in &assignment {
+                counts[c] += 1;
+            }
+            let mut centroids = vec![vec![4.0, 4.0]; 3];
+            assert!(update_centroids(
+                &points,
+                &mut assignment,
+                &mut centroids,
+                &mut counts
+            ));
+            assert_eq!(assignment, after);
+            assert_eq!(counts, vec![1; 3]);
+            for (c, centroid) in centroids.iter().enumerate() {
+                let bits: Vec<u64> = centroid.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bits, mean(&assignment, c), "cluster {c} of {before:?}");
             }
         }
     }
